@@ -2,12 +2,18 @@
 
 Mirrors the paper's RDD design: trajectories are assigned a partition id
 by a global partitioning strategy (DataFrame ops, ``core.partition``),
-keyed and placed with a custom partitioner (``partitionBy(N_G, identity)``
-— the `Partitioner` subclass of §V-C), and each partition is packaged
-into a single ``LocalPack`` object (the paper's ``RpTraj`` case class:
-trajectories + local index) by ``mapPartitions``. The resulting
-``RDD[LocalPack]`` is cached; queries run as ``mapPartitions`` over it and
-the driver merges the per-partition top-k lists.
+keyed and placed with a custom partitioner (the `Partitioner` subclass of
+§V-C), and each partition is packaged into a single ``LocalPack`` object
+(the paper's ``RpTraj`` case class: trajectories + local index) by
+``mapPartitions``. The resulting ``RDD[LocalPack]`` is cached; queries map
+over its packs and the driver merges the per-partition top-k lists.
+
+The paper runs one local index per core (N_G = cores). Here N_G may exceed
+the cores, and every Spark task costs a fixed scheduling floor per query,
+so the N_G packs are placed on ``min(N_G, cores)`` Spark partitions by
+``pid % n_tasks``: each task builds, and later searches, the packs it
+owns. The pack, not the Spark partition, stays the unit of partitioning
+strategy, summaries and per-partition local times.
 
 The RDD layer is used deliberately here — the paper's contribution is
 explicitly this RDD structure (``type RpTrieRDD = RDD[RpTraj]``); all
@@ -37,7 +43,10 @@ from repro.core.partition import assign_partitions, dataset_bounds
 # bytes once per worker process, not once per query.
 # ---------------------------------------------------------------------------
 _PACK_CACHE: "OrderedDict[str, LocalPack]" = OrderedDict()
-_PACK_CACHE_MAX = 8  # with 1 partition per core a worker usually holds 1–2
+# A task holds about N_G / n_tasks packs (4 at N_G = 16 on 4 cores), and a
+# reused Python worker may run a different task on the next query, so a
+# worker can meet more than one task's packs; a miss costs one unpickle.
+_PACK_CACHE_MAX = 8
 
 
 def _restore_pack(uid: str, cls, state_blob: bytes):
@@ -95,7 +104,8 @@ class DistributedTopK:
     Parameters
     ----------
     build_fn : ``(pid, [(tid, pts)], config) -> LocalPack`` executed inside
-        ``mapPartitions`` on the executors.
+        ``mapPartitions`` on the executors, once per pid in
+        ``range(n_partitions)``.
     config : broadcast-style plain dict shipped in the task closure
         (bounds, grid δ, pivots, measure params, ...).
     strategy / key_mode : global partitioning (see ``core.partition``).
@@ -126,25 +136,28 @@ class DistributedTopK:
             key_mode=key_mode,
         )
         cfg = self.config
+        n_tasks = min(n_partitions, spark.sparkContext.defaultParallelism)
         keyed = (
             assigned.select("pid", "tid", "xs", "ys")
             .rdd.map(lambda r: (r[0], (r[1], r[2], r[3])))
-            .partitionBy(n_partitions, lambda pid: pid)  # identity Partitioner
+            .partitionBy(n_tasks, lambda pid: pid % n_tasks)
         )
 
-        def build_part(pid: int, it):
-            rows = [v for _, v in it]
-            pack = build_fn(pid, _rows_to_trajs(rows), cfg)
-            # seed the building worker's cache so even its first query
-            # skips deserialization
-            _PACK_CACHE[pack._uid] = pack
-            while len(_PACK_CACHE) > _PACK_CACHE_MAX:
-                _PACK_CACHE.popitem(last=False)
-            yield pack
+        def build_task(task: int, it):
+            rows_by_pid: dict[int, list] = {}
+            for pid, row in it:
+                rows_by_pid.setdefault(pid, []).append(row)
+            # every owned pid gets a pack, empty if no trajectory landed there
+            for pid in range(task, n_partitions, n_tasks):
+                pack = build_fn(pid, _rows_to_trajs(rows_by_pid.get(pid, [])), cfg)
+                # seed the building worker's cache so even its first query
+                # skips deserialization
+                _PACK_CACHE[pack._uid] = pack
+                while len(_PACK_CACHE) > _PACK_CACHE_MAX:
+                    _PACK_CACHE.popitem(last=False)
+                yield pack
 
-        self.rdd = keyed.mapPartitionsWithIndex(
-            build_part, preservesPartitioning=True
-        ).cache()
+        self.rdd = keyed.mapPartitionsWithIndex(build_task).cache()
         self.summaries = self.rdd.map(lambda p: p.summary()).collect()
         self.build_time = time.perf_counter() - t0  # IT metric
         self.index_bytes = sum(s["index_bytes"] for s in self.summaries)  # IS
@@ -157,7 +170,7 @@ class DistributedTopK:
         *,
         ctx: dict | None = None,
     ) -> list[tuple[float, int]]:
-        """Distributed top-k: fan out to partitions, merge on the driver.
+        """Distributed top-k: fan out to the packs, merge on the driver.
 
         Besides the wall-clock ``last_query_time``, records per-partition
         local search seconds (``last_local_times`` / ``last_local_max``):

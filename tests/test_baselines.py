@@ -10,7 +10,7 @@ from repro.baselines.dft import Dft, DftPack
 from repro.baselines.dita import Dita, representative
 from repro.baselines.ls import Ls
 from repro.core.search import brute_force_topk
-from tests.util import topk_dists_equal
+from tests.util import assert_exact_ids, assert_packs_per_task, topk_dists_equal
 
 NP = 4
 
@@ -25,6 +25,19 @@ def test_ls_exact(spark, tdrive_smoke, tdrive_trajs, tdrive_queries, measure):
         exp = brute_force_topk(tdrive_trajs, q, 10, measure=measure)
         assert topk_dists_equal(got, exp)
     assert ls.index_bytes == 0  # "/" cell in Table IV
+    ls.unpersist()
+
+
+def test_ls_several_packs_per_task(spark, tdrive_smoke, tdrive_trajs, tdrive_queries):
+    """N_G = 3 × cores on a baseline: the shared framework groups packs the
+    same way for every system."""
+    n_parts = 3 * spark.sparkContext.defaultParallelism
+    ls = Ls(
+        spark, tdrive_smoke, measure="frechet", n_partitions=n_parts,
+        strategy="heterogeneous",
+    )
+    assert_packs_per_task(spark, ls)
+    assert_exact_ids(ls, tdrive_trajs, tdrive_queries, 10, "frechet")
     ls.unpersist()
 
 

@@ -8,7 +8,12 @@ import pytest
 
 from repro.core.search import brute_force_topk
 from repro.dist.repose import Repose
-from tests.util import MEASURE_PARAMS, topk_dists_equal
+from tests.util import (
+    MEASURE_PARAMS,
+    assert_exact_ids,
+    assert_packs_per_task,
+    topk_dists_equal,
+)
 
 DELTA = 0.15
 NP = 4
@@ -97,6 +102,34 @@ def test_build_stats(repose_hausdorff, tdrive_trajs):
     # heterogeneous round-robin → balanced partitions
     sizes = [s["n_trajs"] for s in rep.summaries]
     assert max(sizes) - min(sizes) <= 1
+
+
+def test_several_packs_per_task(spark, tdrive_smoke, tdrive_trajs, tdrive_queries):
+    """N_G = 3 × cores: each Spark task builds and searches three packs."""
+    n_parts = 3 * spark.sparkContext.defaultParallelism
+    rep = Repose(
+        spark, tdrive_smoke, measure="hausdorff", delta=DELTA, n_partitions=n_parts
+    )
+    assert_packs_per_task(spark, rep)
+    assert_exact_ids(rep, tdrive_trajs, tdrive_queries, 10, "hausdorff")
+    rep.unpersist()
+
+
+def test_empty_packs_kept(spark, tdrive_smoke, tdrive_trajs, tdrive_queries):
+    """N < N_G with N_G > cores: pids that get no trajectory still get an
+    (empty) pack, so summaries and local times cover all N_G packs."""
+    n_parts = max(16, 2 * spark.sparkContext.defaultParallelism)
+    trajs = sorted(tdrive_trajs, key=lambda t: t[0])[:10]
+    df = tdrive_smoke.where(tdrive_smoke.tid.isin([t for t, _ in trajs]))
+    rep = Repose(
+        spark, df, measure="hausdorff", delta=DELTA, n_partitions=n_parts
+    )
+    assert len(rep.summaries) == n_parts
+    assert sorted(s["pid"] for s in rep.summaries) == list(range(n_parts))
+    assert sum(s["n_trajs"] == 0 for s in rep.summaries) == n_parts - len(trajs)
+    for k in (5, len(trajs) + 5):
+        assert_exact_ids(rep, trajs, tdrive_queries, k, "hausdorff")
+    rep.unpersist()
 
 
 def test_query_time_recorded(repose_hausdorff, tdrive_queries):

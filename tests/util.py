@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.measures import METRICS
+from repro.core.search import brute_force_topk
 
 #: per-measure extra kwargs used consistently across tests
 MEASURE_PARAMS = {
@@ -40,3 +41,24 @@ def topk_dists_equal(got, exp, tol=1e-9) -> bool:
     if len(got) != len(exp):
         return False
     return all(abs(g[0] - e[0]) <= tol for g, e in zip(got, exp))
+
+
+def assert_exact_ids(index, trajs, queries, k, measure) -> None:
+    """Each answer's ids are the first k by ``(dist, tid)`` of brute force,
+    and every pack reported a local search time."""
+    for _, q in queries:
+        got = index.query(q, k)
+        exp = brute_force_topk(trajs, q, k, measure=measure)
+        assert [t for _, t in got] == [t for _, t in exp]
+        assert len(index.last_local_times) == index.n_partitions
+
+
+def assert_packs_per_task(spark, index) -> None:
+    """N_G packs, one per pid, on min(N_G, cores) Spark partitions, with
+    pack sizes that differ by at most 1 (heterogeneous round-robin)."""
+    n = index.n_partitions
+    cores = spark.sparkContext.defaultParallelism
+    assert index.rdd.getNumPartitions() == min(n, cores)
+    assert sorted(p.pid for p in index.rdd.collect()) == list(range(n))
+    sizes = [s["n_trajs"] for s in index.summaries]
+    assert max(sizes) - min(sizes) <= 1
