@@ -12,13 +12,28 @@ Three build modes:
   first over the remaining z-value sets, using the C(Z) − C(Z^z1)
   frequency-difference bookkeeping from the appendix.
 
-Every node carries an ``HR[N_p]`` (min,max) pivot-distance array; every
-leaf carries the trajectory ids and ``D_max`` (max distance from stored
-trajectories to the node's reference trajectory).
+The trie has one form, path-compressed flat arrays. A *chain* is a
+maximal run of single-child, leaf-free nodes, ending at a branch or leaf
+node; chain 0 is the root and holds no node. Chains are numbered
+breadth-first, so each chain's children are one contiguous range of
+chain ids, in insertion order:
+
+* ``zs[off[e]:off[e+1]]`` — chain ``e``'s z-values, top down. ``zs``
+  holds every node once, so ``node_count() == len(zs)``;
+* ``depth[e]``, ``max_suffix[e]`` — the chain end's depth and longest
+  path below it; ``leaf[e]`` — its leaf index, or −1;
+* ``range(kid_off[e], kid_off[e+1])`` — chain ``e``'s children;
+* ``hr[e]`` — the (N_p, 2) (min, max) pivot-distance array. The nodes
+  of a chain share one subtree, hence one HR;
+* per leaf ``l`` (a ``$``-terminal): ``tids[tid_off[l]:tid_off[l+1]]``,
+  ``dmax[l]`` (max distance from those trajectories to the node's
+  reference trajectory) and ``leaf_hr[l]``.
+
+``refpts``/``rects`` (each node's cell centre and rectangle) are derived
+from ``zs`` and not pickled.
 """
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from typing import Callable, Sequence
 
@@ -26,76 +41,73 @@ import numpy as np
 
 from .zorder import Grid, ref_points, ref_trajectory
 
-# Tries are as deep as the longest trajectory (≤1000 after the paper's
-# preprocessing); (cloud)pickling the linked Node structure inside Spark
-# workers recurses per node, so lift CPython's default 1000-frame limit
-# here — this module is imported by every worker that touches a trie.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-
-
-class Leaf:
-    """$-terminated leaf: trajectory ids + D_max + pivot HR (§III-B)."""
-
-    __slots__ = ("tids", "dmax", "hr")
-
-    def __init__(self, n_pivots: int):
-        self.tids: list[int] = []
-        self.dmax: float = 0.0
-        self.hr: np.ndarray | None = (
-            _empty_hr(n_pivots) if n_pivots else None
-        )
-
-
-class Node:
-    """Internal trie node labelled with a z-value.
-
-    ``chain_*`` attributes implement path compression for the search:
-    a child node carries the reference points / cell rects of the maximal
-    single-child, leaf-free run it starts, and ``chain_end`` is the run's
-    last node (the next branch/leaf point). Interior chain nodes share
-    the same subtree, hence the same HR, so bounds are unaffected.
-    """
-
-    __slots__ = (
-        "z", "children", "leaf", "hr", "refpoint", "rect",
-        "depth", "max_suffix",
-        "child_nodes", "chain_refpts", "chain_rects", "chain_end",
-    )
-
-    def __init__(self, z: int, n_pivots: int, depth: int):
-        self.z = z
-        self.children: dict[int, Node] = {}
-        self.leaf: Leaf | None = None
-        self.hr: np.ndarray | None = _empty_hr(n_pivots) if n_pivots else None
-        self.refpoint: np.ndarray | None = None
-        self.rect: np.ndarray | None = None
-        self.depth = depth
-        self.max_suffix = 0
-        # frozen traversal structure (filled by RPTrie._finalize)
-        self.child_nodes: list[Node] | None = None
-        self.chain_refpts: np.ndarray | None = None
-        self.chain_rects: np.ndarray | None = None
-        self.chain_end: "Node | None" = None
-
-
-def _empty_hr(n_pivots: int) -> np.ndarray:
-    hr = np.empty((n_pivots, 2), dtype=float)
-    hr[:, 0] = np.inf
-    hr[:, 1] = -np.inf
-    return hr
-
-
-def _update_hr(hr: np.ndarray | None, pd: np.ndarray | None) -> None:
-    if hr is None or pd is None:
-        return
-    np.minimum(hr[:, 0], pd, out=hr[:, 0])
-    np.maximum(hr[:, 1], pd, out=hr[:, 1])
-
 
 def dedup_first_occurrence(zs: np.ndarray) -> np.ndarray:
     """Distinct z-values in first-occurrence order (§III-C step 1)."""
     _, idx = np.unique(zs, return_index=True)
     return zs[np.sort(idx)]
+
+
+def _insert_paths(paths: list[np.ndarray]) -> tuple[list[dict], dict]:
+    """Sequential insertion (basic / dedup) into a build-time trie:
+    per node a ``{z: child}`` dict (node 0 is the root), and the item
+    indices whose path ends at each node."""
+    kids: list[dict] = [{}]
+    ends: dict[int, list[int]] = {}
+    for i, zs in enumerate(paths):
+        node = 0
+        for z in zs.tolist():
+            child = kids[node].get(z)
+            if child is None:
+                child = kids[node][z] = len(kids)
+                kids.append({})
+            node = child
+        ends.setdefault(node, []).append(i)
+    return kids, ends
+
+
+def _greedy_paths(paths: list[np.ndarray]) -> tuple[list[dict], dict]:
+    """Greedy hitting-set construction (Appendix B), same output form as
+    :func:`_insert_paths`.
+
+    Each task partitions the items (index, remaining z-set) below one
+    node: count C(Z) once, pick the most frequent z, split off Z^z (whose
+    counts C(Z^z) are taken on the way), and obtain the remaining counts
+    as C(Z) − C(Z^z). Sibling tasks share no item, so they run from an
+    explicit stack in any order.
+    """
+    kids: list[dict] = [{}]
+    ends: dict[int, list[int]] = {}
+    tasks = [(0, [(i, set(zs.tolist())) for i, zs in enumerate(paths)])]
+    while tasks:
+        node, items = tasks.pop()
+        remaining = []
+        for it in items:
+            if it[1]:
+                remaining.append(it)
+            else:  # complete path consumed → $-leaf here
+                ends.setdefault(node, []).append(it[0])
+        counts = Counter()
+        for _, zset in remaining:
+            counts.update(zset)
+        while remaining:
+            z1, _ = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
+            group, rest = [], []
+            sub_counts = Counter()
+            for it in remaining:
+                if z1 in it[1]:
+                    sub_counts.update(it[1])
+                    it[1].discard(z1)
+                    group.append(it)
+                else:
+                    rest.append(it)
+            counts.subtract(sub_counts)  # C(Z) ← C(Z) − C(Z^z1)
+            del counts[z1]
+            kids[node][z1] = len(kids)
+            kids.append({})
+            tasks.append((len(kids) - 1, group))
+            remaining = rest
+    return kids, ends
 
 
 class RPTrie:
@@ -123,7 +135,6 @@ class RPTrie:
         self.fn = fn
         self.pivots = list(pivots)
         self.n_pivots = len(self.pivots)
-        self.root = Node(-1, self.n_pivots, depth=0)
         self.pivot_slack = 0.0  # max leaf D_max — slack for the HR bound
         self.n_trajs = 0
         # HR/D_max distances may run on the consecutive-duplicate-collapsed
@@ -137,10 +148,10 @@ class RPTrie:
 
     # ------------------------------------------------------------------
     def build(self, trajs: Sequence[tuple[int, np.ndarray]], mode: str = "basic") -> None:
-        """Insert trajectories ``(tid, (n,2) points)``; then freeze."""
+        """Index trajectories ``(tid, (n,2) points)`` into the flat arrays."""
         if mode not in ("basic", "dedup", "opt"):
             raise ValueError(f"unknown trie mode {mode!r}")
-        items = []
+        tids, paths, pds, dmaxs = [], [], [], []
         for tid, pts in trajs:
             zs = ref_trajectory(self.grid, pts)
             if mode != "basic":
@@ -149,250 +160,84 @@ class RPTrie:
             if self.collapse_ref_for_dists and len(zs) > 1:
                 zd = zs[np.concatenate([[True], zs[1:] != zs[:-1]])]
             rp = ref_points(self.grid, zd)
-            pd = (
-                np.array([self.fn(p, rp) for p in self.pivots], dtype=float)
-                if self.n_pivots
-                else None
-            )
-            dmax = float(self.fn(pts, rp)) if self.need_dmax else 0.0
-            items.append((tid, zs, pd, dmax))
-            self.pivot_slack = max(self.pivot_slack, dmax)
-        self.n_trajs = len(items)
-        if mode == "opt":
-            sets = [(tid, set(zs.tolist()), pd, dmax) for tid, zs, pd, dmax in items]
-            for _, _, pd, _ in sets:
-                _update_hr(self.root.hr, pd)
-            self._build_greedy(self.root, sets)
-        else:
-            for tid, zs, pd, dmax in items:
-                self._insert_path(tid, zs, pd, dmax)
-        self._finalize(self.root)
+            tids.append(tid)
+            paths.append(zs)
+            pds.append([self.fn(p, rp) for p in self.pivots])
+            dmaxs.append(float(self.fn(pts, rp)) if self.need_dmax else 0.0)
+        self.n_trajs = len(tids)
+        self.pivot_slack = max(dmaxs, default=0.0)
+        pds = np.array(pds, dtype=float).reshape(len(tids), self.n_pivots)
+        grow = _greedy_paths if mode == "opt" else _insert_paths
+        self._flatten(*grow(paths), tids, pds, dmaxs)
 
-    # -- sequential insertion (basic / dedup) ---------------------------
-    def _insert_path(self, tid: int, zs: np.ndarray, pd, dmax: float) -> None:
-        node = self.root
-        _update_hr(node.hr, pd)
-        for z in zs.tolist():
-            child = node.children.get(z)
-            if child is None:
-                child = self._new_node(z, node.depth + 1)
-                node.children[z] = child
-            _update_hr(child.hr, pd)
-            node = child
-        self._attach_leaf(node, tid, pd, dmax)
+    def _flatten(self, kids: list[dict], ends: dict, tids, pds, dmaxs) -> None:
+        """Number the chains of the build-time trie breadth-first and
+        store them, their leaves and their HR as flat arrays."""
+        chain_end = [0]  # build-time node ending each chain (root: chain 0)
+        runs: list[list[int]] = [[]]
+        depth = [0]
+        kid_off = [1]
+        for e, end in enumerate(chain_end):  # grows while iterating: BFS
+            for z, c in kids[end].items():
+                run = [z]
+                while len(kids[c]) == 1 and c not in ends:
+                    ((z, c),) = kids[c].items()
+                    run.append(z)
+                chain_end.append(c)
+                runs.append(run)
+                depth.append(depth[e] + len(run))
+            kid_off.append(len(chain_end))
+        groups, leaf = [], []  # item indices per leaf; leaf of each chain
+        for c in chain_end:
+            leaf.append(len(groups) if c in ends else -1)
+            if c in ends:
+                groups.append(ends[c])
+        leaf_hr = np.empty((len(groups), self.n_pivots, 2))
+        for l, items in enumerate(groups):
+            leaf_hr[l, :, 0] = pds[items].min(axis=0)
+            leaf_hr[l, :, 1] = pds[items].max(axis=0)
+        # bottom-up: a chain's HR and max suffix cover its children's
+        n_chains = len(chain_end)
+        hr = np.empty((n_chains, self.n_pivots, 2))
+        hr[..., 0], hr[..., 1] = np.inf, -np.inf
+        max_suffix = [0] * n_chains
+        for e in range(n_chains - 1, -1, -1):
+            a, b = kid_off[e], kid_off[e + 1]
+            below = hr[a:b]
+            if leaf[e] >= 0:
+                below = np.concatenate([below, leaf_hr[leaf[e]][None]])
+            if len(below):
+                hr[e, :, 0] = below[:, :, 0].min(axis=0)
+                hr[e, :, 1] = below[:, :, 1].max(axis=0)
+            max_suffix[e] = max((len(runs[c]) + max_suffix[c] for c in range(a, b)), default=0)
+        self._load({
+            "zs": np.array([z for run in runs for z in run], dtype=np.int64),
+            "off": np.cumsum([0] + [len(r) for r in runs], dtype=np.int32),
+            "depth": np.array(depth, dtype=np.int32),
+            "max_suffix": np.array(max_suffix, dtype=np.int32),
+            "leaf": np.array(leaf, dtype=np.int32),
+            "kid_off": np.array(kid_off, dtype=np.int32),
+            "hr": hr,
+            "tids": np.array([tids[i] for g in groups for i in g], dtype=np.int64),
+            "tid_off": np.cumsum([0] + [len(g) for g in groups], dtype=np.int32),
+            "dmax": np.array([max(dmaxs[i] for i in g) for g in groups], dtype=float),
+            "leaf_hr": leaf_hr,
+        })
 
-    def _new_node(self, z: int, depth: int) -> Node:
-        n = Node(z, self.n_pivots, depth)
-        n.refpoint = self.grid.refpoints_of_z(np.array([z]))[0]
-        n.rect = self.grid.cell_rects_of_z(np.array([z]))[0]
-        return n
+    # -- pickling ships the arrays; node geometry is re-derived ----------
+    def _load(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.refpts = self.grid.refpoints_of_z(self.zs)
+        self.rects = self.grid.cell_rects_of_z(self.zs)
 
-    def _attach_leaf(self, node: Node, tid: int, pd, dmax: float) -> None:
-        if node.leaf is None:
-            node.leaf = Leaf(self.n_pivots)
-        node.leaf.tids.append(tid)
-        node.leaf.dmax = max(node.leaf.dmax, dmax)
-        _update_hr(node.leaf.hr, pd)
-
-    # -- greedy hitting-set construction (Appendix B) -------------------
-    def _build_greedy(self, parent: Node, items: list) -> None:
-        """Recursively partition ``items`` (tid, remaining z-set, pd, dmax).
-
-        Implements the appendix bookkeeping: count C(Z) once, pick the
-        most frequent z, split off Z^z (counting C(Z^z) for the recursive
-        call), and obtain the remaining counts as C(Z) − C(Z^z).
-        """
-        remaining = []
-        for it in items:
-            if it[1]:
-                remaining.append(it)
-            else:  # complete path consumed → $-leaf at the parent
-                self._attach_leaf(parent, it[0], it[2], it[3])
-        counts = Counter()
-        for _, zset, _, _ in remaining:
-            counts.update(zset)
-        while remaining:
-            z1, _ = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-            group, rest = [], []
-            sub_counts = Counter()
-            for it in remaining:
-                if z1 in it[1]:
-                    sub_counts.update(it[1])
-                    it[1].discard(z1)
-                    group.append(it)
-                else:
-                    rest.append(it)
-            counts.subtract(sub_counts)  # C(Z) ← C(Z) − C(Z^z1)
-            del counts[z1]
-            child = self._new_node(z1, parent.depth + 1)
-            parent.children[z1] = child
-            for it in group:
-                _update_hr(child.hr, it[2])
-            self._build_greedy(child, group)
-            remaining = rest
-
-    # -- freeze: child lists, max_suffix, and compressed chains ---------
-    def _finalize(self, root: Node) -> None:
-        """Iterative post-order pass (trie depth can reach trajectory
-        length ~1000, beyond Python's default recursion limit)."""
-        # 1) child lists + post-order for max_suffix
-        order: list[Node] = []
-        stack = [root]
-        while stack:
-            n = stack.pop()
-            n.child_nodes = list(n.children.values())
-            order.append(n)
-            stack.extend(n.child_nodes)
-        for n in reversed(order):
-            n.max_suffix = (
-                1 + max(c.max_suffix for c in n.child_nodes)
-                if n.child_nodes
-                else 0
-            )
-        # 2) path compression: each child of a *reachable* node starts a
-        # chain running through single-child, leaf-free nodes; the search
-        # jumps straight to chain_end. Only branch/leaf nodes (and the
-        # root) are reachable, so every chain is built exactly once.
-        frontier = [root]
-        while frontier:
-            n = frontier.pop()
-            for child in n.child_nodes:
-                chain = [child]
-                cur = child
-                while len(cur.child_nodes) == 1 and cur.leaf is None:
-                    cur = cur.child_nodes[0]
-                    chain.append(cur)
-                child.chain_refpts = np.stack([c.refpoint for c in chain])
-                child.chain_rects = np.stack([c.rect for c in chain])
-                child.chain_end = cur
-                frontier.append(cur)
-
-    # -- compact serialization -----------------------------------------
-    # Pickling the linked Node graph costs ~700 bytes/node and, because
-    # PySpark caches RDD elements serialized, both the bytes *and* the
-    # rebuild would be paid per query. The trie therefore pickles as its
-    # path-compressed edge list: one record per chain (flat z-value
-    # array + end-node metadata + HR), which is both small (~60 B/node)
-    # and cheap to restore (~#branch+#leaf Node objects, not #nodes).
-    # The restored trie is a *search-only view*: chain-interior nodes are
-    # not materialized, so node_count()/iter_nodes()/succinct encoding
-    # are only meaningful on the originally built trie (where the IS
-    # metric is computed, before any serialization).
+    __setstate__ = _load
 
     def __getstate__(self):
-        chain_zs: list[np.ndarray] = []
-        parents: list[int] = []
-        depths: list[int] = []
-        suffixes: list[int] = []
-        hrs: list[np.ndarray] = []
-        leaves: list[tuple] = []
-        edge_of: dict[int, int] = {id(self.root): -1}
-        frontier = [self.root]
-        while frontier:
-            node = frontier.pop()
-            for child in node.child_nodes:
-                end = child.chain_end
-                e = len(parents)
-                edge_of[id(end)] = e
-                parents.append(edge_of[id(node)])
-                chain_zs.append(
-                    self.grid.z_of_points(
-                        child.chain_refpts[:, 0], child.chain_refpts[:, 1]
-                    )
-                )
-                depths.append(end.depth)
-                suffixes.append(end.max_suffix)
-                if self.n_pivots:
-                    hrs.append(child.hr)  # == end.hr along a chain
-                if end.leaf is not None:
-                    leaves.append(
-                        (e, end.leaf.tids, end.leaf.dmax, end.leaf.hr)
-                    )
-                frontier.append(end)
-        lens = np.array([len(c) for c in chain_zs], dtype=np.int32)
-        return {
-            "grid": self.grid,
-            "fn": self.fn,
-            "pivots": self.pivots,
-            "n_pivots": self.n_pivots,
-            "pivot_slack": self.pivot_slack,
-            "n_trajs": self.n_trajs,
-            "collapse_ref_for_dists": self.collapse_ref_for_dists,
-            "need_dmax": self.need_dmax,
-            "zs_flat": (
-                np.concatenate(chain_zs) if chain_zs else np.zeros(0, np.int64)
-            ),
-            "lens": lens,
-            "parents": np.asarray(parents, dtype=np.int32),
-            "depths": np.asarray(depths, dtype=np.int32),
-            "suffixes": np.asarray(suffixes, dtype=np.int32),
-            "hrs": np.stack(hrs).astype(np.float32) if hrs else None,
-            "root_hr": self.root.hr,
-            "leaves": leaves,
-        }
-
-    def __setstate__(self, st):
-        for k in (
-            "grid", "fn", "pivots", "n_pivots", "pivot_slack", "n_trajs",
-            "collapse_ref_for_dists", "need_dmax",
-        ):
-            setattr(self, k, st[k])
-        self.root = Node(-1, 0, depth=0)
-        self.root.hr = st["root_hr"]
-        self.root.child_nodes = []
-        zs_flat = st["zs_flat"]
-        refpts = self.grid.refpoints_of_z(zs_flat)
-        rects = self.grid.cell_rects_of_z(zs_flat)
-        offs = np.concatenate([[0], np.cumsum(st["lens"])])
-        hrs64 = None
-        if st["hrs"] is not None:
-            # widen the float32-rounded (min,max) by one ulp so the pivot
-            # bound stays admissible after the round trip
-            hrs64 = st["hrs"].astype(np.float64)
-            hrs64[..., 0] = np.nextafter(st["hrs"][..., 0], -np.inf)
-            hrs64[..., 1] = np.nextafter(st["hrs"][..., 1], np.inf)
-        nodes: list[Node] = []
-        parents = st["parents"]
-        for e in range(len(parents)):
-            n = Node.__new__(Node)
-            lo, hi = offs[e], offs[e + 1]
-            n.z = int(zs_flat[hi - 1])
-            n.children = {}
-            n.leaf = None
-            n.hr = hrs64[e] if hrs64 is not None else None
-            n.refpoint = refpts[hi - 1]
-            n.rect = rects[hi - 1]
-            n.depth = int(st["depths"][e])
-            n.max_suffix = int(st["suffixes"][e])
-            n.child_nodes = []
-            n.chain_refpts = refpts[lo:hi]
-            n.chain_rects = rects[lo:hi]
-            n.chain_end = n  # merged head/end: a single search-view node
-            nodes.append(n)
-            parent = self.root if parents[e] < 0 else nodes[parents[e]]
-            parent.children[int(zs_flat[lo])] = n
-            parent.child_nodes.append(n)
-        for e, tids, dmax, hr in st["leaves"]:
-            leaf = Leaf.__new__(Leaf)
-            leaf.tids = tids
-            leaf.dmax = dmax
-            leaf.hr = hr
-            nodes[e].leaf = leaf
+        state = dict(self.__dict__)
+        del state["refpts"], state["rects"]
+        return state
 
     # -- stats ---------------------------------------------------------
     def node_count(self) -> int:
         """Number of trie nodes, excluding the root (Fig. 7 metric)."""
-        count = 0
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            count += len(n.children)
-            stack.extend(n.child_nodes or n.children.values())
-        return count
-
-    def iter_nodes(self):
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            yield n
-            stack.extend(n.children.values())
+        return len(self.zs)

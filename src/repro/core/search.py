@@ -18,13 +18,15 @@ matrix:
   column-DP machinery with optimistic (cell-based) costs; ERP is a
   metric so pivot pruning also applies.
 
-Traversal is *path-compressed*: single-child chains (frequent in the
-order-preserving tries, where consecutive points revisit cells) are
-advanced in one call, with the column DP running on Python lists — the
+Traversal reads the trie's flat arrays and is *path-compressed*: a heap
+entry is one chain of single-child nodes (frequent in the
+order-preserving tries, where consecutive points revisit cells), its
+position and its DP state, and a pop advances up to ``CHAIN_CHUNK``
+nodes in one call, with the column DP running on Python lists — the
 same representation as the exact kernels — and an early chain abort as
 soon as the monotone column minimum crosses the current d_k. This is an
-implementation detail (DESIGN.md §3): bound values and visit order are
-exactly those of node-at-a-time traversal.
+implementation detail (DESIGN.md §3): bound values are exactly those of
+node-at-a-time traversal.
 
 The pivot lower bound (§IV-D) uses the node HR arrays with the standard
 symmetric metric bound (see DESIGN.md §3 re: the paper's Eq. 5).
@@ -37,7 +39,8 @@ from typing import Iterable
 import numpy as np
 
 from .measures import METRICS, get_measure
-from .rptrie import Leaf, Node, RPTrie
+from .pivots import query_pivot_dists
+from .rptrie import RPTrie
 
 
 def _col_point_dists(qpts: np.ndarray, p: np.ndarray) -> list[float]:
@@ -82,9 +85,9 @@ class _HausdorffEngine:
     def node_lb(self, state, depth: int, max_suffix: int) -> float:
         return max(state[1] - self.slack, 0.0)
 
-    def leaf_lb(self, state, leaf: Leaf, depth: int) -> float:
+    def leaf_lb(self, state, dmax: float, depth: int) -> float:
         r, cmax = state
-        return max(max(float(r.max()), cmax) - leaf.dmax, 0.0)
+        return max(max(float(r.max()), cmax) - dmax, 0.0)
 
 
 class _FrechetEngine:
@@ -133,8 +136,8 @@ class _FrechetEngine:
     def node_lb(self, state, depth: int, max_suffix: int) -> float:
         return max(min(state) - self.slack, 0.0)
 
-    def leaf_lb(self, state, leaf: Leaf, depth: int) -> float:
-        return max(float(state[-1]) - leaf.dmax, 0.0)
+    def leaf_lb(self, state, dmax: float, depth: int) -> float:
+        return max(float(state[-1]) - dmax, 0.0)
 
 
 class _DtwEngine:
@@ -177,7 +180,7 @@ class _DtwEngine:
     def node_lb(self, state, depth: int, max_suffix: int) -> float:
         return min(state)
 
-    def leaf_lb(self, state, leaf: Leaf, depth: int) -> float:
+    def leaf_lb(self, state, dmax: float, depth: int) -> float:
         return float(state[-1])  # f_{m,n}, Eq. 14
 
 
@@ -232,7 +235,7 @@ class _ErpEngine:
     def node_lb(self, state, depth: int, max_suffix: int) -> float:
         return min(state)
 
-    def leaf_lb(self, state, leaf: Leaf, depth: int) -> float:
+    def leaf_lb(self, state, dmax: float, depth: int) -> float:
         return float(state[-1])
 
 
@@ -271,7 +274,7 @@ class _EdrEngine:
     def node_lb(self, state, depth: int, max_suffix: int) -> float:
         return min(state)
 
-    def leaf_lb(self, state, leaf: Leaf, depth: int) -> float:
+    def leaf_lb(self, state, dmax: float, depth: int) -> float:
         return float(state[-1])
 
 
@@ -315,7 +318,7 @@ class _LcssEngine:
         denom = max(1, min(m, depth))
         return max(0.0, 1.0 - min(1.0, ub / denom))
 
-    def leaf_lb(self, state, leaf: Leaf, depth: int) -> float:
+    def leaf_lb(self, state, dmax: float, depth: int) -> float:
         denom = max(1, min(self.m, depth))
         return max(0.0, 1.0 - min(1.0, float(state[-1]) / denom))
 
@@ -393,37 +396,38 @@ def search_topk(
     fn = get_measure(measure, **params)
     engine = make_engine(measure, qpts, trie.grid.half_diag, **params)
     use_pivots = measure in METRICS and trie.n_pivots > 0
-    dqp = (
-        np.array([fn(qpts, p) for p in trie.pivots], dtype=float)
-        if use_pivots
-        else None
-    )
+    dqp = query_pivot_dists(qpts, trie.pivots, fn) if use_pivots else None
     slack_p = trie.pivot_slack
+    # per-chain and per-leaf fields as lists: the loop below indexes
+    # them once per pop, where numpy scalars would cost more
+    off, kid_off = trie.off.tolist(), trie.kid_off.tolist()
+    depth, suffix, leaf = trie.depth.tolist(), trie.max_suffix.tolist(), trie.leaf.tolist()
+    tids, tid_off, dmax = trie.tids.tolist(), trie.tid_off.tolist(), trie.dmax.tolist()
+    refpts, rects, hr, leaf_hr = trie.refpts, trie.rects, trie.hr, trie.leaf_hr
 
     stats = stats or SearchStats()
     result: list[tuple[float, int]] = []  # max-heap via negated dist
     counter = 0
     heap: list = []
 
-    def push_chain(child: Node, lb: float, state) -> None:
+    def push_chain(e: int, lb: float, state) -> None:
         """Enqueue a (lazy) chain entry; its DP has not been advanced yet."""
         nonlocal counter
         counter += 1
-        heapq.heappush(heap, (lb, counter, CHAIN, (child, 0, state)))
+        heapq.heappush(heap, (lb, counter, CHAIN, (e, 0, state)))
         stats.pushed += 1
 
     root_state = engine.root_state()
-    for child in trie.root.child_nodes:
-        push_chain(child, 0.0, root_state)
+    for e in range(kid_off[0], kid_off[1]):
+        push_chain(e, 0.0, root_state)
 
     while heap:
         lb, _, kind, payload = heapq.heappop(heap)
         if lb >= d_k:
             break
         if kind == LEAF:
-            leaf: Leaf = payload
             stats.leaves_visited += 1
-            for tid in leaf.tids:
+            for tid in tids[tid_off[payload] : tid_off[payload + 1]]:
                 stats.exact_computed += 1
                 dist = fn(qpts, trajs[tid])
                 if dist < d_k:
@@ -433,48 +437,45 @@ def search_topk(
                     if len(result) == k:
                         d_k = -result[0][0]
             continue
-        # CHAIN: advance the child's compressed chain by one chunk, then
-        # re-enqueue — best-first ordering operates at chunk granularity,
-        # so no chain runs to its end while d_k is still loose.
-        child, off, state = payload
-        if off == 0 and use_pivots and child.hr is not None:
+        # CHAIN: advance chain e by one chunk, then re-enqueue — best-first
+        # ordering operates at chunk granularity, so no chain runs to its
+        # end while d_k is still loose.
+        e, pos, state = payload
+        if pos == 0 and use_pivots:
             # HR is identical along a chain: one check covers its subtree
-            if float(_pivot_lbs(dqp, child.hr, slack_p)) >= d_k:
+            if float(_pivot_lbs(dqp, hr[e], slack_p)) >= d_k:
                 continue
         stats.nodes_expanded += 1
-        n_chain = len(child.chain_refpts)
-        hi = min(off + CHAIN_CHUNK, n_chain)
+        lo = off[e]
+        n_chain = off[e + 1] - lo
+        hi = min(pos + CHAIN_CHUNK, n_chain)
         st = engine.advance(
-            state,
-            child.chain_refpts[off:hi],
-            child.chain_rects[off:hi],
-            d_k,
+            state, refpts[lo + pos : lo + hi], rects[lo + pos : lo + hi], d_k
         )
         if st is None:
             continue  # monotone bound crossed d_k: subtree pruned
-        end = child.chain_end
         if hi < n_chain:
             # interior of a single-child run: depth/suffix are derivable
-            depth = child.depth + hi - 1
-            clb = engine.node_lb(st, depth, (n_chain - hi) + end.max_suffix)
+            clb = engine.node_lb(st, depth[e] - n_chain + hi, n_chain - hi + suffix[e])
             if clb < d_k:
                 counter += 1
-                heapq.heappush(heap, (clb, counter, CHAIN, (child, hi, st)))
+                heapq.heappush(heap, (clb, counter, CHAIN, (e, hi, st)))
                 stats.pushed += 1
             continue
-        clb = engine.node_lb(st, end.depth, end.max_suffix)
+        clb = engine.node_lb(st, depth[e], suffix[e])
         if clb >= d_k:
             continue
-        for grand in end.child_nodes:
-            push_chain(grand, clb, st)
-        if end.leaf is not None:
-            llb = engine.leaf_lb(st, end.leaf, end.depth)
-            if use_pivots and end.leaf.hr is not None:
-                llb = max(llb, float(_pivot_lbs(dqp, end.leaf.hr, slack_p)))
+        for c in range(kid_off[e], kid_off[e + 1]):
+            push_chain(c, clb, st)
+        l = leaf[e]
+        if l >= 0:
+            llb = engine.leaf_lb(st, dmax[l], depth[e])
+            if use_pivots:
+                llb = max(llb, float(_pivot_lbs(dqp, leaf_hr[l], slack_p)))
             llb = max(llb, clb)
             if llb < d_k:
                 counter += 1
-                heapq.heappush(heap, (llb, counter, LEAF, end.leaf))
+                heapq.heappush(heap, (llb, counter, LEAF, l))
                 stats.pushed += 1
 
     return sorted(((-d, t) for d, t in result), key=lambda x: (x[0], x[1]))

@@ -16,8 +16,12 @@ Documented adaptations (DESIGN.md §3):
 * each bitmap-level *boundary* node stores a varint child count ahead of
   its byte-serialized subtrees so the stream is self-delimiting.
 
-The encoding round-trips (`decode_structure` rebuilds the exact trie
-shape — verified by tests) and `trie_size_bytes` is the REPOSE IS metric.
+The encoder reads the trie's flat chain arrays (``core.rptrie``), the
+same form the search runs on and Spark ships. It round-trips:
+`decode_structure` rebuilds the exact trie shape, in the canonical flat
+form of `trie_shape` — verified by tests — and `trie_size_bytes` is the
+REPOSE IS metric. Every walk uses an explicit queue or stack, so trie
+depth is not bounded by the recursion limit.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rptrie import Node, RPTrie
+from .rptrie import RPTrie
 
 UPPER_LEVELS = 2   # trie depths whose children are encoded as bitmaps
 _HR_ENTRY_BYTES = 8  # (min,max) stored as 2 × float32 per pivot
@@ -81,27 +85,41 @@ class SuccinctTrie:
         )
 
 
-def _encode_leaf(leaf, out: bytearray) -> None:
-    _varint(len(leaf.tids), out)
-    for t in leaf.tids:
-        _varint(int(t), out)
-    out.extend(np.float32(leaf.dmax).tobytes())
+def _node_access(trie: RPTrie):
+    """Node-level reads of the chain arrays. A node is its flat index into
+    ``zs``; −1 is the root. Returns ``kids(j)`` (children, insertion
+    order), ``leaf_of(j)`` (leaf index or −1) and, per node, the flat
+    index of its chain's end."""
+    off, kid_off, leaf = trie.off.tolist(), trie.kid_off.tolist(), trie.leaf.tolist()
+    lens = np.diff(trie.off)
+    chain = np.repeat(np.arange(len(leaf)), lens).tolist()
+    last = np.repeat(trie.off[1:] - 1, lens).tolist()
+
+    def kids(j: int) -> list[int]:
+        if j >= 0 and j != last[j]:
+            return [j + 1]  # inside a chain: the next node
+        e = chain[j] if j >= 0 else 0
+        return [off[c] for c in range(kid_off[e], kid_off[e + 1])]
+
+    def leaf_of(j: int) -> int:
+        if j < 0:
+            return leaf[0]
+        return leaf[chain[j]] if j == last[j] else -1
+
+    return kids, leaf_of, last
 
 
-def _encode_subtree(node: Node, blob: bytearray, leaf_blob: bytearray) -> tuple[int, int]:
-    """DFS byte serialization of one lower-level node; returns (nodes, leaves)."""
-    nodes, leaves = 1, 0
-    _varint(node.z, blob)
-    flags = (1 if node.leaf is not None else 0) | (len(node.children) << 1)
-    _varint(flags, blob)
-    if node.leaf is not None:
-        _encode_leaf(node.leaf, leaf_blob)
-        leaves += 1
-    for child in node.children.values():
-        cn, cl = _encode_subtree(child, blob, leaf_blob)
-        nodes += cn
-        leaves += cl
-    return nodes, leaves
+def _preorder(zs: list[int], kids, has_leaf, root: int) -> list[tuple]:
+    """Canonical trie shape: ``(z, has_leaf(j), len(kids(j)))`` for every
+    non-root node ``j`` in pre-order, children in ascending z."""
+    out = []
+    stack = sorted(kids(root), key=zs.__getitem__, reverse=True)
+    while stack:
+        j = stack.pop()
+        below = kids(j)
+        out.append((zs[j], has_leaf(j), len(below)))
+        stack.extend(sorted(below, key=zs.__getitem__, reverse=True))
+    return out
 
 
 #: when the occupied-cell vocabulary is wider than this, per-node bitmap
@@ -118,65 +136,75 @@ def encode_trie(trie: RPTrie, upper_levels: int | None = None) -> SuccinctTrie:
     thousands is far larger than the byte form the paper reserves for
     sparse levels.
     """
-    vocab = np.array(
-        sorted({n.z for n in trie.iter_nodes() if n.z >= 0}), dtype=np.int64
-    )
+    vocab = np.unique(trie.zs)
     if upper_levels is None:
         upper_levels = UPPER_LEVELS if len(vocab) <= _BITMAP_VOCAB_CAP else 1
     vidx = {int(z): i for i, z in enumerate(vocab)}
     m = max(1, len(vocab))
+    zs = trie.zs.tolist()
+    kids, leaf_of, last = _node_access(trie)
+    tids, tid_off, dmax = trie.tids.tolist(), trie.tid_off.tolist(), trie.dmax.tolist()
     bc, bl, bt = [], [], []
     lower = bytearray()
     leaf_blob = bytearray()
-    n_nodes, n_leaves = 0, 0
+
+    def put_leaf(lf: int) -> None:
+        """Leaf ``lf``'s tid count, tids and float32 D_max, if it exists."""
+        if lf < 0:
+            return
+        leaf_tids = tids[tid_off[lf] : tid_off[lf + 1]]
+        _varint(len(leaf_tids), leaf_blob)
+        for t in leaf_tids:
+            _varint(t, leaf_blob)
+        leaf_blob.extend(np.float32(dmax[lf]).tobytes())
 
     # BFS over upper-level nodes; each emits one bitmap row. Nodes at
     # depth == upper_levels are "boundary" nodes: present in their
     # parent's bitmaps, but their own subtrees go to the byte stream
     # (child count first, so the stream is self-delimiting).
-    queue: list[Node] = [trie.root]
-    boundary: list[Node] = []
+    queue = [-1]
+    boundary: list[int] = []
+    depth = 0
     while queue:
-        nxt: list[Node] = []
-        for node in queue:
-            if node.z >= 0:
-                n_nodes += 1
-            if node.leaf is not None:
-                _encode_leaf(node.leaf, leaf_blob)
-                n_leaves += 1
+        nxt: list[int] = []
+        for j in queue:
+            put_leaf(leaf_of(j))
             row_c = np.zeros(m, dtype=bool)
             row_l = np.zeros(m, dtype=bool)
             row_t = np.zeros(m, dtype=bool)
-            for z, child in node.children.items():
-                j = vidx[z]
-                row_c[j] = True
-                if child.children:
-                    row_l[j] = True
-                if child.leaf is not None:
-                    row_t[j] = True
+            for c in kids(j):
+                col = vidx[zs[c]]
+                row_c[col] = True
+                row_l[col] = bool(kids(c))
+                row_t[col] = leaf_of(c) >= 0
             bc.append(row_c)
             bl.append(row_l)
             bt.append(row_t)
             # descend in ascending-z order so the decoder (which recovers
             # children from bitmaps, i.e. z-sorted) walks the same order
-            for _, child in sorted(node.children.items()):
-                if child.depth < upper_levels:
-                    nxt.append(child)
-                else:
-                    boundary.append(child)
+            below = nxt if depth + 1 < upper_levels else boundary
+            below.extend(sorted(kids(j), key=zs.__getitem__))
         queue = nxt
+        depth += 1
 
-    for node in boundary:
-        if node.z >= 0:
-            n_nodes += 1
-        if node.leaf is not None:
-            _encode_leaf(node.leaf, leaf_blob)
-            n_leaves += 1
-        _varint(len(node.children), lower)
-        for _, child in sorted(node.children.items()):
-            cn, cl = _encode_subtree(child, lower, leaf_blob)
-            n_nodes += cn
-            n_leaves += cl
+    # Lower levels: per boundary node its leaf and child count, then each
+    # child subtree depth-first: z, flags = has_leaf | n_children << 1.
+    for b in boundary:
+        put_leaf(leaf_of(b))
+        heads = sorted(kids(b), key=zs.__getitem__)
+        _varint(len(heads), lower)
+        stack = heads[::-1]
+        while stack:
+            j = stack.pop()
+            end = last[j]
+            for i in range(j, end):  # inside a chain: one child, no leaf
+                _varint(zs[i], lower)
+                _varint(1 << 1, lower)
+            below, lf = kids(end), leaf_of(end)
+            _varint(zs[end], lower)
+            _varint((lf >= 0) | (len(below) << 1), lower)
+            put_leaf(lf)
+            stack.extend(reversed(below))
 
     def pack(rows):
         if not rows:
@@ -190,18 +218,17 @@ def encode_trie(trie: RPTrie, upper_levels: int | None = None) -> SuccinctTrie:
         upper_bt=pack(bt),
         lower_blob=bytes(lower),
         leaf_blob=bytes(leaf_blob),
-        n_nodes=n_nodes,
-        n_leaves=n_leaves,
+        n_nodes=len(zs),
+        n_leaves=len(trie.dmax),
         n_pivots=trie.n_pivots,
     )
 
 
-def decode_structure(st: SuccinctTrie, upper_levels: int | None = None) -> dict:
-    """Rebuild the trie *shape*: nested ``{z: (has_leaf, children)}``.
+def decode_structure(st: SuccinctTrie, upper_levels: int | None = None) -> list[tuple]:
+    """Rebuild the trie *shape* in the canonical form of :func:`trie_shape`.
 
-    Returns the root's children dict. Round-trip tested against the
-    pointer trie. ``upper_levels`` must match the encoder's; ``None``
-    applies the same adaptive default.
+    Round-trip tested against the flat trie. ``upper_levels`` must match
+    the encoder's; ``None`` applies the same adaptive default.
     """
     if upper_levels is None:
         upper_levels = (
@@ -209,65 +236,58 @@ def decode_structure(st: SuccinctTrie, upper_levels: int | None = None) -> dict:
         )
     m = max(1, len(st.vocab))
     bits_c = np.unpackbits(st.upper_bc)
-    bits_l = np.unpackbits(st.upper_bl)
     bits_t = np.unpackbits(st.upper_bt)
+    zs, kids, has_leaf = [-1], [[]], [False]  # node 0 is the root
 
-    def parse_subtree(buf: bytes, p: int):
-        z, p = _read_varint(buf, p)
-        flags, p = _read_varint(buf, p)
-        has_leaf = bool(flags & 1)
-        n_children = flags >> 1
-        children = {}
-        for _ in range(n_children):
-            (cz, payload), p = parse_subtree(buf, p)
-            children[cz] = payload
-        return (z, (has_leaf, children)), p
+    def add(parent: int, z: int, leaf: bool) -> int:
+        zs.append(z)
+        kids.append([])
+        has_leaf.append(leaf)
+        kids[parent].append(len(zs) - 1)
+        return len(zs) - 1
 
-    root: dict = {}
     # BFS mirroring the encoder: row r of the bitmaps describes the r-th
     # node in BFS order; children are recovered z-sorted, matching the
     # encoder's sorted descent. Boundary nodes (depth == upper_levels)
     # are collected in the same BFS order the encoder emitted their
     # varint-counted subtrees.
     row = 0
-    queue: list[tuple[dict, int]] = [(root, 0)]
-    ordered: list[dict] = []
+    queue = [0]
+    boundary: list[int] = []
+    depth = 0
     while queue:
-        nxt: list[tuple[dict, int]] = []
-        for children_out, depth in queue:
+        nxt: list[int] = []
+        for parent in queue:
             seg_c = bits_c[row * m : (row + 1) * m]
             seg_t = bits_t[row * m : (row + 1) * m]
             row += 1
-            for j in np.nonzero(seg_c)[0]:
-                z = int(st.vocab[j])
-                sub: dict = {}
-                children_out[z] = (bool(seg_t[j]), sub)
-                if depth + 1 < upper_levels:
-                    nxt.append((sub, depth + 1))
-                else:
-                    ordered.append(sub)
+            below = nxt if depth + 1 < upper_levels else boundary
+            for col in np.nonzero(seg_c)[0]:
+                below.append(add(parent, int(st.vocab[col]), bool(seg_t[col])))
         queue = nxt
+        depth += 1
 
     pos = 0
     buf = st.lower_blob
-    for sub in ordered:
+    for b in boundary:
         n_children, pos = _read_varint(buf, pos)
-        for _ in range(n_children):
-            (cz, payload), pos = parse_subtree(buf, pos)
-            sub[cz] = payload
-    return root
+        stack = [(b, n_children)]  # (node, children still to parse)
+        while stack:
+            parent, left = stack.pop()
+            if not left:
+                continue
+            stack.append((parent, left - 1))
+            z, pos = _read_varint(buf, pos)
+            flags, pos = _read_varint(buf, pos)
+            stack.append((add(parent, z, bool(flags & 1)), flags >> 1))
+    return _preorder(zs, kids.__getitem__, has_leaf.__getitem__, 0)
 
 
-def trie_shape(trie: RPTrie) -> dict:
-    """Pointer-trie shape in the same nested form, for round-trip tests."""
-
-    def walk(node: Node):
-        return (
-            node.leaf is not None,
-            {z: walk(c) for z, c in node.children.items()},
-        )
-
-    return {z: walk(c) for z, c in trie.root.children.items()}
+def trie_shape(trie: RPTrie) -> list[tuple]:
+    """The flat trie's shape: ``(z, has_leaf, n_children)`` per non-root
+    node, in pre-order with children in ascending z."""
+    kids, leaf_of, _ = _node_access(trie)
+    return _preorder(trie.zs.tolist(), kids, lambda j: leaf_of(j) >= 0, -1)
 
 
 def trie_size_bytes(trie: RPTrie, upper_levels: int | None = None) -> int:

@@ -39,8 +39,10 @@ from repro.core.partition import assign_partitions, dataset_bounds
 # action; the paper's Scala RDD[RpTraj] keeps deserialized JVM objects in
 # memory, so queries never pay index reconstruction. To mirror those
 # semantics, packs serialize as (uid, class, state-blob) and unpickling
-# consults a per-worker LRU first — the linked RP-Trie is rebuilt from
-# bytes once per worker process, not once per query.
+# consults a per-worker LRU first. A hit saves unpickling the pack's
+# trajectories and index once per query: for REPOSE the flat RP-Trie
+# arrays plus re-deriving each node's cell centre and rectangle, for
+# DITA its linked trie and for DFT its R-tree.
 # ---------------------------------------------------------------------------
 _PACK_CACHE: "OrderedDict[str, LocalPack]" = OrderedDict()
 # A task holds about N_G / n_tasks packs (4 at N_G = 16 on 4 cores), and a

@@ -11,7 +11,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.measures import METRICS, ORDER_INDEPENDENT, get_measure
 from repro.core.pivots import select_pivots
 from repro.core.rptrie import RPTrie
-from repro.core.search import SearchStats, search_topk
+from repro.core.search import search_topk
 from repro.core.succinct import trie_size_bytes
 from repro.core.zorder import Grid
 from repro.dist.framework import DistributedTopK, LocalPack, sample_trajectories
@@ -51,12 +51,9 @@ class ReposePack(LocalPack):
         self.node_count = self.trie.node_count()
 
     def search(self, qpts, k, ctx):
-        stats = SearchStats()
-        res = search_topk(
-            self.trie, self.trajs, qpts, k,
-            measure=self.measure, stats=stats, **self.params,
+        return search_topk(
+            self.trie, self.trajs, qpts, k, measure=self.measure, **self.params
         )
-        return res
 
     def summary(self):
         s = super().summary()

@@ -1,76 +1,14 @@
 """Geohash substrate (used by the SOM-TC-style clustering of §V-B).
 
-Provides the classic base32 geohash (encode/decode, for validation and
-completeness) and vectorized *integer* cell codes over arbitrary bounds.
-The clustering in ``core.partition`` uses the integer form: a geohash at
-``bits`` precision is exactly a z-order cell index with interleaved
-lon/lat bits, and coarsening the granularity = right-shifting the code —
-the prefix property the paper's granularity loop relies on.
+Provides vectorized *integer* geohash cell codes over arbitrary bounds,
+the form ``core.partition`` clusters on: a geohash at ``bits`` precision
+is exactly a z-order cell index with interleaved lon/lat bits, and
+coarsening the granularity = right-shifting the code — the prefix
+property the paper's granularity loop relies on.
 """
 from __future__ import annotations
 
 import numpy as np
-
-_BASE32 = "0123456789bcdefghjkmnpqrstuvwxyz"
-
-
-def encode(lon: float, lat: float, precision: int = 8) -> str:
-    """Classic base32 geohash of a lon/lat point."""
-    lon_lo, lon_hi = -180.0, 180.0
-    lat_lo, lat_hi = -90.0, 90.0
-    bits_seq = []
-    even = True  # geohash starts with a longitude bit
-    while len(bits_seq) < precision * 5:
-        if even:
-            mid = (lon_lo + lon_hi) / 2
-            if lon >= mid:
-                bits_seq.append(1)
-                lon_lo = mid
-            else:
-                bits_seq.append(0)
-                lon_hi = mid
-        else:
-            mid = (lat_lo + lat_hi) / 2
-            if lat >= mid:
-                bits_seq.append(1)
-                lat_lo = mid
-            else:
-                bits_seq.append(0)
-                lat_hi = mid
-        even = not even
-    out = []
-    for i in range(precision):
-        chunk = bits_seq[i * 5 : i * 5 + 5]
-        idx = 0
-        for b in chunk:
-            idx = (idx << 1) | b
-        out.append(_BASE32[idx])
-    return "".join(out)
-
-
-def decode(gh: str) -> tuple[float, float]:
-    """Center (lon, lat) of a base32 geohash cell."""
-    lon_lo, lon_hi = -180.0, 180.0
-    lat_lo, lat_hi = -90.0, 90.0
-    even = True
-    for ch in gh:
-        idx = _BASE32.index(ch)
-        for b in range(4, -1, -1):
-            bit = (idx >> b) & 1
-            if even:
-                mid = (lon_lo + lon_hi) / 2
-                if bit:
-                    lon_lo = mid
-                else:
-                    lon_hi = mid
-            else:
-                mid = (lat_lo + lat_hi) / 2
-                if bit:
-                    lat_lo = mid
-                else:
-                    lat_hi = mid
-            even = not even
-    return ((lon_lo + lon_hi) / 2, (lat_lo + lat_hi) / 2)
 
 
 def int_codes(

@@ -1,46 +1,10 @@
-"""Geohash substrate tests: classic base32 values, round trips, and the
-integer-code prefix property the §V-B clustering loop relies on."""
+"""Geohash substrate tests: integer cell codes and the prefix property
+the §V-B clustering loop relies on."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.geo import geohash as G
-
-
-def test_known_geohash_wikipedia():
-    # canonical example: (lat 42.605, lon -5.603) → "ezs42"
-    assert G.encode(-5.60302734375, 42.60498046875, 5) == "ezs42"
-
-
-def test_known_geohash_equator():
-    assert G.encode(0.0, 0.0, 1)[0] == "s"
-
-
-@pytest.mark.parametrize(
-    "lon,lat", [(-5.6, 42.6), (116.3, 39.9), (-122.4, 37.8), (151.2, -33.9)]
-)
-def test_encode_decode_roundtrip(lon, lat):
-    gh = G.encode(lon, lat, 9)
-    dlon, dlat = G.decode(gh)
-    assert dlon == pytest.approx(lon, abs=1e-3)
-    assert dlat == pytest.approx(lat, abs=1e-3)
-
-
-def test_prefix_refinement():
-    # a longer geohash refines the shorter one (string prefix property)
-    gh8 = G.encode(116.3, 39.9, 8)
-    gh4 = G.encode(116.3, 39.9, 4)
-    assert gh8.startswith(gh4)
-
-
-def test_neighbors_share_prefix():
-    a = G.encode(116.300, 39.900, 6)
-    b = G.encode(116.301, 39.901, 6)
-    assert a[:4] == b[:4]
-
-
-# ------------------------------------------------------------- int codes
 
 BOUNDS = (0.0, 0.0, 10.0, 10.0)
 

@@ -16,7 +16,7 @@ from repro.core.measures import METRICS, get_measure, pair_dists
 from repro.core.rptrie import RPTrie
 from repro.core.search import _pivot_lbs, make_engine
 from repro.core.zorder import Grid, points_to_rect_dist
-from tests.util import ALL, MEASURE_PARAMS, rnd_dataset, rnd_query
+from tests.util import ALL, MEASURE_PARAMS, rnd_dataset, rnd_query, trie_nodes
 
 GRID = Grid.from_bounds(-5, -5, 15, 15, delta=0.8)
 DATA = rnd_dataset(1, 80)
@@ -45,7 +45,7 @@ def find_path(trie, tid):
                 return r
         return None
 
-    return dfs(trie.root, [])
+    return dfs(trie_nodes(trie)[0], [])
 
 
 def walk(trie, measure, qpts, tid):
@@ -56,7 +56,6 @@ def walk(trie, measure, qpts, tid):
     chain = find_path(trie, tid)
     assert chain, f"tid {tid} not found"
     state = engine.root_state()
-    node = trie.root
     lbs, states = [], []
     for nxt in chain:
         state = engine.advance(
@@ -66,7 +65,7 @@ def walk(trie, measure, qpts, tid):
         lbs.append(float(engine.node_lb(state, nxt.depth, nxt.max_suffix)))
         states.append(state)
         node = nxt
-    leaf_lb = engine.leaf_lb(state, node.leaf, node.depth)
+    leaf_lb = engine.leaf_lb(state, node.leaf.dmax, node.depth)
     return lbs, states, chain, leaf_lb, engine
 
 
@@ -178,7 +177,7 @@ def test_pivot_lb_admissible(measure):
     qpts = rnd_query(9)
     dqp = np.array([fn(qpts, p) for p in trie.pivots])
     checked = 0
-    for node in trie.iter_nodes():
+    for node in trie_nodes(trie):
         if node.leaf is None:
             continue
         lbp = float(_pivot_lbs(dqp, node.leaf.hr, trie.pivot_slack))
@@ -203,8 +202,8 @@ def test_pivot_lb_internal_nodes_admissible():
             stack.extend(n.children.values())
         return out
 
-    for node in trie.iter_nodes():
-        if node.z < 0 or node.hr is None:
+    for node in trie_nodes(trie):
+        if node.z < 0:
             continue
         lbp = float(_pivot_lbs(dqp, node.hr, trie.pivot_slack))
         for tid in subtree_tids(node):
@@ -220,7 +219,7 @@ def test_pivot_lb_can_prune():
     dqp = np.array([fn(qpts, p) for p in trie.pivots])
     lbs = [
         float(_pivot_lbs(dqp, n.leaf.hr, trie.pivot_slack))
-        for n in trie.iter_nodes()
+        for n in trie_nodes(trie)
         if n.leaf is not None
     ]
     assert max(lbs) > 0

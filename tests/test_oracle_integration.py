@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro import synth_data
 from repro.core.measures_ref import dtw_ref, frechet_ref
@@ -102,12 +103,13 @@ def test_oracle_rejects_wrong_result(spark, points_pdf, tdrive_queries):
         )
 
 
-def test_oracle_tpch_smoke(spark):
-    """Provided TPC-H-lite generators + oracle wire-up still works."""
-    li = synth_data.lineitem(spark, sf=0.001)
-    agg = li.groupBy("l_returnflag").count().withColumnRenamed("count", "n")
+def test_oracle_trajectory_smoke(spark, tdrive_smoke, points_pdf):
+    """Oracle wire-up with a Spark table input: per-trajectory point
+    counts from the trajectory DataFrame match DuckDB's count over the
+    long-format points table."""
+    got = tdrive_smoke.select("tid", F.size("xs").alias("n"))
     assert_equivalent(
-        agg,
-        "SELECT l_returnflag, count(*) AS n FROM li GROUP BY l_returnflag",
-        li=li,
+        got,
+        "SELECT tid, count(*) AS n FROM pts GROUP BY tid",
+        pts=spark.createDataFrame(points_pdf),
     )

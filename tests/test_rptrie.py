@@ -9,7 +9,7 @@ import pytest
 from repro.core.measures import get_measure
 from repro.core.rptrie import RPTrie, dedup_first_occurrence
 from repro.core.zorder import Grid, ref_points, ref_trajectory
-from tests.util import rnd_dataset, rnd_query
+from tests.util import rnd_dataset, trie_nodes
 
 GRID = Grid.from_bounds(-5, -5, 15, 15, delta=0.8)
 
@@ -28,7 +28,7 @@ def data():
 
 def collect_leaf_tids(trie):
     out = []
-    for node in trie.iter_nodes():
+    for node in trie_nodes(trie):
         if node.leaf is not None:
             out.extend(node.leaf.tids)
     return sorted(out)
@@ -62,7 +62,7 @@ def test_basic_path_matches_ref_trajectory(data):
     trie = build(data, "basic")
     tid, pts = 7, data[7]
     zs = ref_trajectory(GRID, pts)
-    node = trie.root
+    node = trie_nodes(trie)[0]
     for z in zs:
         node = node.children[int(z)]
     assert node.leaf is not None and tid in node.leaf.tids
@@ -84,7 +84,7 @@ def test_opt_path_zset_equals_trajectory_zset(data):
         for z, child in node.children.items():
             walk(child, path + [z])
 
-    walk(trie.root, [])
+    walk(trie_nodes(trie)[0], [])
 
 
 def test_prefix_trajectory_ends_at_internal_node():
@@ -92,7 +92,7 @@ def test_prefix_trajectory_ends_at_internal_node():
     b = np.array([[0.5, 0.5], [3.5, 3.5], [7.5, 7.5]])
     trie = build({1: a, 2: b}, "basic")
     za = ref_trajectory(GRID, a)
-    node = trie.root
+    node = trie_nodes(trie)[0]
     for z in za:
         node = node.children[int(z)]
     assert node.leaf is not None and node.leaf.tids == [1]
@@ -101,19 +101,12 @@ def test_prefix_trajectory_ends_at_internal_node():
 
 def test_leaf_dmax_is_max_dist_to_ref(data):
     fn = get_measure("hausdorff")
-    trie = build(data, "dedup")
-    for node in trie.iter_nodes():
-        if node.leaf is None:
-            continue
-        # reconstruct the path z-values to get the reference trajectory
-        pass  # covered structurally below
     # direct check on a single-trajectory trie
     pts = data[3]
     t1 = build({3: pts}, "dedup")
     zs = dedup_first_occurrence(ref_trajectory(GRID, pts))
     rp = ref_points(GRID, zs)
-    leaf = None
-    node = t1.root
+    node = trie_nodes(t1)[0]
     while node.children:
         node = next(iter(node.children.values()))
     leaf = node.leaf
@@ -150,12 +143,12 @@ def test_hr_brackets_pivot_distances(data):
         for c in node.children.values():
             path_check(c, zs)
 
-    path_check(trie.root, [])
+    path_check(trie_nodes(trie)[0], [])
 
 
 def test_pivot_slack_covers_all_dmax(data):
     trie = build(data, "dedup", pivots=[data[0]])
-    for node in trie.iter_nodes():
+    for node in trie_nodes(trie):
         if node.leaf is not None:
             assert node.leaf.dmax <= trie.pivot_slack + 1e-12
 
@@ -168,34 +161,29 @@ def test_max_suffix(data):
             return 0
         return 1 + max(depth_below(c) for c in node.children.values())
 
-    for node in trie.iter_nodes():
+    for node in trie_nodes(trie):
         assert node.max_suffix == depth_below(node)
 
 
 def test_chain_compression_frozen(data):
-    """Every reachable child carries a chain ending at a branch or leaf
-    node; chain arrays cover exactly the run of single-child nodes."""
+    """Chains tile the node array; every chain ends at a branch or leaf
+    node and runs through single-child, leaf-free nodes only; a child
+    chain's end lies its length below its parent's end."""
     trie = build(data, "basic")
-    frontier = [trie.root]
+    lens = np.diff(trie.off)
+    n_kids = np.diff(trie.kid_off)
+    assert lens[0] == 0 and (lens[1:] >= 1).all()  # chain 0 is the root
+    assert lens.sum() == trie.node_count()
+    assert ((n_kids[1:] != 1) | (trie.leaf[1:] >= 0)).all()
+    for e in range(len(lens)):
+        for c in range(trie.kid_off[e], trie.kid_off[e + 1]):
+            assert trie.depth[c] == trie.depth[e] + lens[c]
     seen = 0
-    while frontier:
-        n = frontier.pop()
-        assert n.child_nodes is not None
-        for child in n.child_nodes:
+    for node in trie_nodes(trie)[1:]:
+        # a node with one child and no leaf is never a chain end
+        if len(node.children) == 1 and node.leaf is None:
             seen += 1
-            L = len(child.chain_refpts)
-            assert child.chain_rects.shape == (L, 4)
-            end = child.chain_end
-            assert len(end.child_nodes) != 1 or end.leaf is not None
-            # replay the chain through the children links
-            cur, hops = child, 1
-            while cur is not end:
-                assert len(cur.child_nodes) == 1 and cur.leaf is None
-                cur = cur.child_nodes[0]
-                hops += 1
-            assert hops == L
-            frontier.append(end)
-    assert seen > 0
+    assert seen == trie.node_count() - (len(lens) - 1) > 0
 
 
 # --------------------------------------------- Appendix B, Example 3 / Fig 10
@@ -233,13 +221,14 @@ def test_example3_first_level():
     """Appendix Example 3: first-level children are 0011 (5 trajs),
     0100 (2 trajs), 0101 (1 traj)."""
     trie, _ = _example3_trie()
-    assert set(trie.root.children) == {0b0011, 0b0100, 0b0101}
+    root = trie_nodes(trie)[0]
+    assert set(root.children) == {0b0011, 0b0100, 0b0101}
 
     def subtree_count(node):
         c = len(node.leaf.tids) if node.leaf else 0
         return c + sum(subtree_count(ch) for ch in node.children.values())
 
-    counts = {z: subtree_count(n) for z, n in trie.root.children.items()}
+    counts = {z: subtree_count(n) for z, n in root.children.items()}
     assert counts == {0b0011: 5, 0b0100: 2, 0b0101: 1}
 
 
@@ -248,16 +237,17 @@ def test_example3_full_shape():
     0101-under-0011 holds Z5's $-leaf and children {0001 (Z2), 0010 (Z4)}."""
     trie, table_x = _example3_trie()
     assert trie.node_count() == 11
-    e1 = trie.root.children[0b0011]
+    root = trie_nodes(trie)[0]
+    e1 = root.children[0b0011]
     assert set(e1.children) == {0b0101, 0b0001, 0b0010}
     z5node = e1.children[0b0101]
     assert z5node.leaf is not None and z5node.leaf.tids == [5]
     assert set(z5node.children) == {0b0001, 0b0010}
     assert z5node.children[0b0001].leaf.tids == [2]
     assert z5node.children[0b0010].leaf.tids == [4]
-    e2 = trie.root.children[0b0100]
+    e2 = root.children[0b0100]
     assert {t for c in e2.children.values() for t in c.leaf.tids} == {6, 7}
-    e3 = trie.root.children[0b0101]
+    e3 = root.children[0b0101]
     (only_child,) = e3.children.values()
     assert only_child.leaf.tids == [8]
 
@@ -274,4 +264,4 @@ def test_example3_hitting_set_property():
         for z, c in node.children.items():
             walk(c, path + [z])
 
-    walk(trie.root, [])
+    walk(trie_nodes(trie)[0], [])

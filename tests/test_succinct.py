@@ -1,8 +1,6 @@
 """Succinct trie encoding tests: exact round-trips across build modes
-and grids, size accounting, and compactness vs the pickled pointer trie."""
+and grids, size accounting, and compactness vs a plain pointer encoding."""
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +11,7 @@ from repro.core.succinct import (
     decode_structure, encode_trie, trie_shape, trie_size_bytes,
 )
 from repro.core.zorder import Grid
-from tests.util import rnd_dataset
+from tests.util import rnd_dataset, trie_nodes
 
 GRID = Grid.from_bounds(-5, -5, 15, 15, delta=0.7)
 
@@ -44,7 +42,7 @@ def test_node_count_matches():
     trie = build(rnd_dataset(4, 80), "opt")
     st = encode_trie(trie)
     assert st.n_nodes == trie.node_count()
-    n_leaves = sum(1 for n in trie.iter_nodes() if n.leaf is not None)
+    n_leaves = sum(1 for n in trie_nodes(trie) if n.leaf is not None)
     assert st.n_leaves == n_leaves
 
 

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.core.measures import METRICS
@@ -62,3 +64,55 @@ def assert_packs_per_task(spark, index) -> None:
     assert sorted(p.pid for p in index.rdd.collect()) == list(range(n))
     sizes = [s["n_trajs"] for s in index.summaries]
     assert max(sizes) - min(sizes) <= 1
+
+
+def trie_nodes(trie) -> list[SimpleNamespace]:
+    """Every node of an RP-Trie as a plain record, root first, read from
+    the trie's flat chain arrays.
+
+    A record has ``z`` (−1 for the root), ``depth``, ``max_suffix``,
+    ``hr``, ``refpoint``, ``rect``, ``children`` (``{z: record}`` in
+    insertion order) and ``leaf`` (``None`` or a record with ``tids``,
+    ``dmax`` and ``hr``). Nodes inside a chain get their depth and max
+    suffix counted back from the chain's end, and the chain's HR.
+    """
+
+    def leaf(e):
+        lf = int(trie.leaf[e])
+        if lf < 0:
+            return None
+        a, b = trie.tid_off[lf], trie.tid_off[lf + 1]
+        return SimpleNamespace(
+            tids=trie.tids[a:b].tolist(), dmax=float(trie.dmax[lf]), hr=trie.leaf_hr[lf]
+        )
+
+    root = SimpleNamespace(
+        z=-1, depth=0, max_suffix=int(trie.max_suffix[0]), hr=trie.hr[0],
+        refpoint=None, rect=None, children={}, leaf=leaf(0),
+    )
+    nodes, chain_end = [root], [root]
+    parent = {}
+    for e in range(len(trie.leaf)):
+        for c in range(trie.kid_off[e], trie.kid_off[e + 1]):
+            parent[c] = e
+        if e == 0:
+            continue
+        prev = chain_end[parent[e]]
+        lo, hi = int(trie.off[e]), int(trie.off[e + 1])
+        for j in range(lo, hi):
+            up = hi - 1 - j  # nodes between j and the chain's end
+            rec = SimpleNamespace(
+                z=int(trie.zs[j]),
+                depth=int(trie.depth[e]) - up,
+                max_suffix=int(trie.max_suffix[e]) + up,
+                hr=trie.hr[e],
+                refpoint=trie.refpts[j],
+                rect=trie.rects[j],
+                children={},
+                leaf=leaf(e) if up == 0 else None,
+            )
+            prev.children[rec.z] = rec
+            nodes.append(rec)
+            prev = rec
+        chain_end.append(prev)
+    return nodes
