@@ -22,22 +22,19 @@ import time
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.measures import get_measure
 from repro.baselines.rtree import STRtree
-from repro.dist.framework import DistributedTopK, LocalPack, sample_trajectories
+from repro.baselines.theta import ThetaTopK
+from repro.core.measures import get_measure
+from repro.dist.framework import LocalPack
 
 _POINT_BYTES = 16
-_C = 5  # partition pruning parameter C (paper §VII-A: C = 5)
 
 
 class DftPack(LocalPack):
     def __init__(self, pid, trajs, cfg):
         t0 = time.perf_counter()
         self.trajs = dict(trajs)
-        self.measure = cfg["measure"]
-        self.params = {
-            k: v for k, v in cfg.items() if k in ("eps", "gap") and v is not None
-        }
+        self.fn = get_measure(cfg["measure"], eps=cfg.get("eps"), gap=cfg.get("gap"))
         seg_mbrs, seg_tid = [], []
         for tid, pts in trajs:
             a, b = pts[:-1], pts[1:]
@@ -77,20 +74,19 @@ class DftPack(LocalPack):
 
     def search(self, qpts, k, ctx):
         theta = ctx["theta"]
-        fn = get_measure(self.measure, **self.params)
         near = self.tree.query_near(qpts, theta, self.seg_mbrs)
         near_count = np.zeros(len(self.tids), dtype=np.int64)
         for t in self.seg_tid[near]:
             near_count[self.tid_index[int(t)]] += 1
         cand = self.tids[near_count == self.seg_count]
         scored = sorted(
-            ((fn(qpts, self.trajs[int(t)]), int(t)) for t in cand),
+            ((self.fn(qpts, self.trajs[int(t)]), int(t)) for t in cand),
             key=lambda x: (x[0], x[1]),
         )
         return scored[:k]
 
 
-class Dft(DistributedTopK):
+class Dft(ThetaTopK):
     """Distributed DFT. Default global partitioning: homogeneous by
     segment/trajectory centroid (the original's locality-preserving
     placement); pass ``strategy="heterogeneous"`` for Heter-DFT
@@ -110,40 +106,17 @@ class Dft(DistributedTopK):
         seed: int = 0,
         **_,
     ):
-        self.measure = measure
-        self.params = {}
-        if eps is not None:
-            self.params["eps"] = eps
-        if gap is not None:
-            self.params["gap"] = gap
-        cfg = {"measure": measure, "eps": eps, "gap": gap}
         super().__init__(
             spark,
             traj_df,
             lambda pid, trajs, c: DftPack(pid, trajs, c),
+            measure=measure,
+            eps=eps,
+            gap=gap,
+            sample_pool=sample_pool,
+            seed=seed,
+            config={},
             n_partitions=n_partitions,
             strategy=strategy,
             key_mode="centroid",
-            config=cfg,
         )
-        # threshold-estimation pool: a uniform sample kept on the driver
-        self.pool = sample_trajectories(traj_df, sample_pool, seed=seed)
-        # re-include build of the pool in IT (it is part of DFT's prep)
-        self._fn = get_measure(measure, **self.params)
-
-    def estimate_theta(self, qpts: np.ndarray, k: int, seed: int = 0) -> float:
-        """k-th smallest exact distance among C·k randomly drawn
-        trajectories (the DFT threshold estimator)."""
-        rng = np.random.default_rng(seed)
-        n = min(len(self.pool), _C * k)
-        idx = rng.choice(len(self.pool), size=n, replace=False)
-        dists = sorted(self._fn(qpts, self.pool[i][1]) for i in idx)
-        theta = dists[min(k, n) - 1]
-        return float(theta) * (1.0 + 1e-9) + 1e-12  # strict-< guard
-
-    def query(self, qpts, k, *, ctx=None, seed: int = 0):
-        t0 = time.perf_counter()
-        theta = self.estimate_theta(np.asarray(qpts, float), k, seed=seed)
-        out = super().query(qpts, k, ctx={"theta": theta})
-        self.last_query_time = time.perf_counter() - t0
-        return out

@@ -26,11 +26,11 @@ import time
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.baselines.theta import ThetaTopK
 from repro.core.measures import get_measure
-from repro.dist.framework import DistributedTopK, LocalPack, sample_trajectories
+from repro.dist.framework import LocalPack
 
 _POINT_BYTES = 16
-_C = 5
 _GRID = 8  # per-level grouping grid (g × g cells per trie node)
 
 SUPPORTED = frozenset({"frechet", "dtw", "edr", "lcss"})
@@ -107,11 +107,8 @@ class DitaPack(LocalPack):
     def __init__(self, pid, trajs, cfg):
         t0 = time.perf_counter()
         self.trajs = dict(trajs)
-        self.measure = cfg["measure"]
+        self.fn = get_measure(cfg["measure"], eps=cfg.get("eps"), gap=cfg.get("gap"))
         self.n_pp = cfg["n_pp"]
-        self.params = {
-            k: v for k, v in cfg.items() if k in ("eps", "gap") and v is not None
-        }
         tids = np.array([t for t, _ in trajs], dtype=np.int64)
         reps = np.stack(
             [representative(p, self.n_pp) for _, p in trajs]
@@ -172,16 +169,15 @@ class DitaPack(LocalPack):
         if self.pid in ctx.get("skip", ()):  # global partition pruning
             return []
         theta = ctx["theta"]
-        fn = get_measure(self.measure, **self.params)
         cand = self._candidates(qpts, theta)
         scored = sorted(
-            ((fn(qpts, self.trajs[t]), t) for t in cand),
+            ((self.fn(qpts, self.trajs[t]), t) for t in cand),
             key=lambda x: (x[0], x[1]),
         )
         return [st for st in scored if st[0] <= theta][:k]
 
 
-class Dita(DistributedTopK):
+class Dita(ThetaTopK):
     """Distributed DITA. Default partitioning: homogeneous by first
     point; pass ``strategy="heterogeneous"`` for Heter-DITA (Table VIII).
     """
@@ -203,44 +199,28 @@ class Dita(DistributedTopK):
     ):
         if measure not in SUPPORTED:
             raise ValueError(f"DITA does not support {measure!r} (paper Table IV)")
-        self.measure = measure
-        self.params = {}
-        if eps is not None:
-            self.params["eps"] = eps
-        if gap is not None:
-            self.params["gap"] = gap
-        cfg = {"measure": measure, "n_pp": n_pp, "eps": eps, "gap": gap}
         super().__init__(
             spark,
             traj_df,
             lambda pid, trajs, c: DitaPack(pid, trajs, c),
+            measure=measure,
+            eps=eps,
+            gap=gap,
+            sample_pool=sample_pool,
+            seed=seed,
+            config={"n_pp": n_pp},
             n_partitions=n_partitions,
             strategy=strategy,
             key_mode="first",
-            config=cfg,
         )
-        self.pool = sample_trajectories(traj_df, sample_pool, seed=seed)
-        self._fn = get_measure(measure, **self.params)
 
-    def estimate_theta(self, qpts: np.ndarray, k: int, seed: int = 0) -> float:
-        rng = np.random.default_rng(seed)
-        n = min(len(self.pool), _C * k)
-        idx = rng.choice(len(self.pool), size=n, replace=False)
-        dists = sorted(self._fn(qpts, self.pool[i][1]) for i in idx)
-        return float(dists[min(k, n) - 1]) * (1.0 + 1e-9) + 1e-12
-
-    def query(self, qpts, k, *, ctx=None, seed: int = 0):
-        t0 = time.perf_counter()
-        q = np.asarray(qpts, float)
-        theta = self.estimate_theta(q, k, seed=seed)
+    def query_ctx(self, qpts, theta):
         # global index: prune partitions whose first-point MBR is farther
         # than θ from the query's first point
         skip = frozenset(
             s["pid"]
             for s in self.summaries
             if s.get("first_mbr") is not None
-            and _mbr_dist_point(q[0], np.asarray(s["first_mbr"])) > theta
+            and _mbr_dist_point(qpts[0], np.asarray(s["first_mbr"])) > theta
         )
-        out = super().query(q, k, ctx={"theta": theta, "skip": skip})
-        self.last_query_time = time.perf_counter() - t0
-        return out
+        return {"theta": theta, "skip": skip}

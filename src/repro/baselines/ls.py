@@ -21,9 +21,7 @@ class LsPack(LocalPack):
         t0 = time.perf_counter()
         self.trajs = list(trajs)
         self.measure = cfg["measure"]
-        self.params = {
-            k: v for k, v in cfg.items() if k in ("eps", "gap") and v is not None
-        }
+        self.params = {"eps": cfg.get("eps"), "gap": cfg.get("gap")}
         super().__init__(pid, len(trajs), time.perf_counter() - t0, 0)
 
     def search(self, qpts, k, ctx):

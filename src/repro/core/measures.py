@@ -167,11 +167,15 @@ def lcss(a: np.ndarray, b: np.ndarray, eps: float) -> float:
     return float(1.0 - prev[-1] / min(m, n))
 
 
-def get_measure(name: str, **params):
-    """Return ``fn(a, b) -> float`` for a measure name, binding params.
+def get_measure(
+    name: str, *, eps: float | None = None, gap: tuple[float, float] | None = None
+):
+    """Return ``fn(a, b) -> float`` for a measure name, binding its parameters.
 
-    ``eps`` (EDR/LCSS) and ``gap`` (ERP) are bound here so every caller
-    (REPOSE, baselines, brute force, tests) shares one parameterization.
+    ``eps`` (EDR/LCSS, required) and ``gap`` (ERP, default ``(0, 0)``) are
+    bound here so every caller (REPOSE, baselines, brute force, tests)
+    shares one parameterization; ``None`` means unset, and a parameter the
+    measure does not take is ignored.
     """
     if name == "hausdorff":
         return hausdorff
@@ -182,9 +186,9 @@ def get_measure(name: str, **params):
     # functools.partial of module-level functions (not lambdas) so bound
     # measures survive plain-pickle round trips inside Spark workers
     if name == "erp":
-        return partial(erp, gap=params.get("gap", (0.0, 0.0)))
-    if name == "edr":
-        return partial(edr, eps=params["eps"])
-    if name == "lcss":
-        return partial(lcss, eps=params["eps"])
+        return partial(erp, gap=(0.0, 0.0) if gap is None else gap)
+    if name in ("edr", "lcss"):
+        if eps is None:
+            raise ValueError(f"measure {name!r} needs eps")
+        return partial(edr if name == "edr" else lcss, eps=eps)
     raise ValueError(f"unknown measure {name!r}")

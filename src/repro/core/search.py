@@ -333,15 +333,22 @@ _ENGINES = {
 }
 
 
-def make_engine(measure: str, qpts: np.ndarray, slack: float, **params):
-    """Instantiate the CompLB engine for a measure (params: eps, gap)."""
+def make_engine(
+    measure: str,
+    qpts: np.ndarray,
+    slack: float,
+    *,
+    eps: float | None = None,
+    gap: tuple[float, float] | None = None,
+):
+    """Instantiate the CompLB engine for a measure (``eps``/``gap`` as in
+    ``measures.get_measure``)."""
     cls = _ENGINES[measure]
-    kwargs = {}
-    if measure == "erp" and "gap" in params:
-        kwargs["gap"] = params["gap"]
+    if measure == "erp" and gap is not None:
+        return cls(qpts, slack, gap=gap)
     if measure in ("edr", "lcss"):
-        kwargs["eps"] = params["eps"]
-    return cls(qpts, slack, **kwargs)
+        return cls(qpts, slack, eps=eps)
+    return cls(qpts, slack)
 
 
 def _pivot_lbs(dqp: np.ndarray, hr: np.ndarray, slack: float) -> np.ndarray:
@@ -388,13 +395,8 @@ def search_topk(
 
     ``d_k`` seeds the pruning threshold (useful when merging partitions).
     """
-    params = {}
-    if eps is not None:
-        params["eps"] = eps
-    if gap is not None:
-        params["gap"] = gap
-    fn = get_measure(measure, **params)
-    engine = make_engine(measure, qpts, trie.grid.half_diag, **params)
+    fn = get_measure(measure, eps=eps, gap=gap)
+    engine = make_engine(measure, qpts, trie.grid.half_diag, eps=eps, gap=gap)
     use_pivots = measure in METRICS and trie.n_pivots > 0
     dqp = query_pivot_dists(qpts, trie.pivots, fn) if use_pivots else None
     slack_p = trie.pivot_slack
@@ -491,12 +493,7 @@ def brute_force_topk(
     gap: tuple[float, float] | None = None,
 ) -> list[tuple[float, int]]:
     """Reference linear scan; also the kernel used by the LS baseline."""
-    params = {}
-    if eps is not None:
-        params["eps"] = eps
-    if gap is not None:
-        params["gap"] = gap
-    fn = get_measure(measure, **params)
+    fn = get_measure(measure, eps=eps, gap=gap)
     scored = sorted(
         ((fn(qpts, pts), tid) for tid, pts in trajs), key=lambda x: (x[0], x[1])
     )

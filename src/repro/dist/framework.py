@@ -15,51 +15,25 @@ so the N_G packs are placed on ``min(N_G, cores)`` Spark partitions by
 owns. The pack, not the Spark partition, stays the unit of partitioning
 strategy, summaries and per-partition local times.
 
+The cached ``RDD[LocalPack]`` is the only pack cache. PySpark caches its
+elements as pickled bytes, where the paper's Scala ``RDD[RpTraj]`` holds
+deserialized objects, so each query unpickles each pack once in the task
+that searches it (DESIGN.md §3); nothing else holds a pack, and
+``unpersist`` releases them all.
+
 The RDD layer is used deliberately here — the paper's contribution is
 explicitly this RDD structure (``type RpTrieRDD = RDD[RpTraj]``); all
 relational work (bounds, clustering, pid assignment) stays in DataFrames.
 """
 from __future__ import annotations
 
-import pickle
 import time
-import uuid
-from collections import OrderedDict
-from typing import Any, Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.partition import assign_partitions, dataset_bounds
-
-# ---------------------------------------------------------------------------
-# Worker-local deserialized-pack cache.
-#
-# PySpark caches RDD elements *serialized* and re-unpickles them on every
-# action; the paper's Scala RDD[RpTraj] keeps deserialized JVM objects in
-# memory, so queries never pay index reconstruction. To mirror those
-# semantics, packs serialize as (uid, class, state-blob) and unpickling
-# consults a per-worker LRU first. A hit saves unpickling the pack's
-# trajectories and index once per query: for REPOSE the flat RP-Trie
-# arrays plus re-deriving each node's cell centre and rectangle, for
-# DITA its linked trie and for DFT its R-tree.
-# ---------------------------------------------------------------------------
-_PACK_CACHE: "OrderedDict[str, LocalPack]" = OrderedDict()
-# A task holds about N_G / n_tasks packs (4 at N_G = 16 on 4 cores), and a
-# reused Python worker may run a different task on the next query, so a
-# worker can meet more than one task's packs; a miss costs one unpickle.
-_PACK_CACHE_MAX = 8
-
-
-def _restore_pack(uid: str, cls, state_blob: bytes):
-    pack = _PACK_CACHE.get(uid)
-    if pack is None:
-        pack = cls.__new__(cls)
-        pack.__dict__.update(pickle.loads(state_blob))
-        _PACK_CACHE[uid] = pack
-        while len(_PACK_CACHE) > _PACK_CACHE_MAX:
-            _PACK_CACHE.popitem(last=False)
-    return pack
 
 
 class LocalPack:
@@ -74,11 +48,6 @@ class LocalPack:
         self.n_trajs = n_trajs
         self.build_secs = build_secs
         self.index_bytes = index_bytes
-        self._uid = uuid.uuid4().hex
-
-    def __reduce__(self):
-        # plain __dict__ pickle (no recursive __reduce__) + cache key
-        return (_restore_pack, (self._uid, type(self), pickle.dumps(self.__dict__)))
 
     def search(self, qpts: np.ndarray, k: int, ctx: dict) -> list[tuple[float, int]]:
         raise NotImplementedError
@@ -151,13 +120,7 @@ class DistributedTopK:
                 rows_by_pid.setdefault(pid, []).append(row)
             # every owned pid gets a pack, empty if no trajectory landed there
             for pid in range(task, n_partitions, n_tasks):
-                pack = build_fn(pid, _rows_to_trajs(rows_by_pid.get(pid, [])), cfg)
-                # seed the building worker's cache so even its first query
-                # skips deserialization
-                _PACK_CACHE[pack._uid] = pack
-                while len(_PACK_CACHE) > _PACK_CACHE_MAX:
-                    _PACK_CACHE.popitem(last=False)
-                yield pack
+                yield build_fn(pid, _rows_to_trajs(rows_by_pid.get(pid, [])), cfg)
 
         self.rdd = keyed.mapPartitionsWithIndex(build_task).cache()
         self.summaries = self.rdd.map(lambda p: p.summary()).collect()

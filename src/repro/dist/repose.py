@@ -27,9 +27,7 @@ class ReposePack(LocalPack):
         t0 = time.perf_counter()
         self.trajs = dict(trajs)
         self.measure = cfg["measure"]
-        self.params = {
-            k: v for k, v in cfg.items() if k in ("eps", "gap") and v is not None
-        }
+        self.params = {"eps": cfg.get("eps"), "gap": cfg.get("gap")}
         fn = get_measure(self.measure, **self.params)
         pivots = cfg.get("pivots") or []
         if self.measure not in METRICS:
@@ -95,12 +93,7 @@ class Repose(DistributedTopK):
                 (bounds[0] + bounds[2]) / 2.0,
                 (bounds[1] + bounds[3]) / 2.0,
             )
-        params = {}
-        if eps is not None:
-            params["eps"] = eps
-        if gap is not None:
-            params["gap"] = gap
-        fn = get_measure(measure, **params)
+        fn = get_measure(measure, eps=eps, gap=gap)
         pivots = []
         if measure in METRICS and n_pivots > 0:
             pool = sample_trajectories(traj_df, pivot_pool, seed=seed)

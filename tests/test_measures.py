@@ -185,6 +185,12 @@ def test_get_measure_unknown():
         M.get_measure("cosine")
 
 
+@pytest.mark.parametrize("measure", ["edr", "lcss"])
+def test_get_measure_needs_eps(measure):
+    with pytest.raises(ValueError, match=measure):
+        M.get_measure(measure)
+
+
 def test_registry_flags():
     assert M.METRICS == {"hausdorff", "frechet", "erp"}
     assert M.ORDER_INDEPENDENT == {"hausdorff"}

@@ -3,6 +3,9 @@ force across measures / k / strategies / trie modes, plus the IT / IS /
 node-count bookkeeping used by the table jobs."""
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,22 @@ def test_empty_packs_kept(spark, tdrive_smoke, tdrive_trajs, tdrive_queries):
     for k in (5, len(trajs) + 5):
         assert_exact_ids(rep, trajs, tdrive_queries, k, "hausdorff")
     rep.unpersist()
+
+
+def test_unpersist_releases_packs(spark, tdrive_smoke):
+    """The cached RDD is the only pack cache: once it is unpersisted and
+    the collected packs are dropped, nothing else keeps a pack alive."""
+    rep = Repose(
+        spark, tdrive_smoke, measure="hausdorff", delta=DELTA, n_partitions=NP
+    )
+    packs = rep.rdd.collect()
+    refs = [weakref.ref(p) for p in packs]
+    assert len(refs) == NP
+    rep.unpersist()
+    del packs
+    gc.collect()
+    assert [r() for r in refs] == [None] * NP
+    assert rep.rdd.id() not in spark.sparkContext._jsc.getPersistentRDDs()
 
 
 def test_query_time_recorded(repose_hausdorff, tdrive_queries):
