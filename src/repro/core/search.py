@@ -390,15 +390,19 @@ def search_topk(
     gap: tuple[float, float] | None = None,
     d_k: float = np.inf,
     stats: SearchStats | None = None,
+    dqp: np.ndarray | None = None,
 ) -> list[tuple[float, int]]:
     """Exact local top-k (Algorithm 2): returns ``[(dist, tid)]`` ascending.
 
     ``d_k`` seeds the pruning threshold (useful when merging partitions).
+    ``dqp`` is the query-to-pivot distances of ``trie.pivots``, when the
+    caller has them already; otherwise they are computed here.
     """
     fn = get_measure(measure, eps=eps, gap=gap)
     engine = make_engine(measure, qpts, trie.grid.half_diag, eps=eps, gap=gap)
     use_pivots = measure in METRICS and trie.n_pivots > 0
-    dqp = query_pivot_dists(qpts, trie.pivots, fn) if use_pivots else None
+    if use_pivots and dqp is None:
+        dqp = query_pivot_dists(qpts, trie.pivots, fn)
     slack_p = trie.pivot_slack
     # per-chain and per-leaf fields as lists: the loop below indexes
     # them once per pop, where numpy scalars would cost more

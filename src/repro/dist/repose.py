@@ -9,7 +9,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.measures import METRICS, ORDER_INDEPENDENT, get_measure
-from repro.core.pivots import select_pivots
+from repro.core.pivots import query_pivot_dists, select_pivots
 from repro.core.rptrie import RPTrie
 from repro.core.search import search_topk
 from repro.core.succinct import trie_size_bytes
@@ -50,7 +50,8 @@ class ReposePack(LocalPack):
 
     def search(self, qpts, k, ctx):
         return search_topk(
-            self.trie, self.trajs, qpts, k, measure=self.measure, **self.params
+            self.trie, self.trajs, qpts, k, measure=self.measure,
+            dqp=ctx.get("dqp"), **self.params,
         )
 
     def summary(self):
@@ -117,6 +118,20 @@ class Repose(DistributedTopK):
             strategy=strategy,
             config=cfg,
         )
+        self.fn = fn
+        self.pivots = pivots
+
+    def query(self, qpts, k, *, ctx=None):
+        """Distributed top-k; the query-to-pivot distances d_qp (§IV-D)
+        are computed once here and shipped to every pack in ``ctx``."""
+        t0 = time.perf_counter()
+        q = np.asarray(qpts, float)
+        ctx = dict(ctx or {})
+        if self.pivots:
+            ctx["dqp"] = query_pivot_dists(q, self.pivots, self.fn)
+        out = super().query(q, k, ctx=ctx)
+        self.last_query_time = time.perf_counter() - t0
+        return out
 
     @property
     def total_trie_nodes(self) -> int:

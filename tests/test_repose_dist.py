@@ -4,12 +4,17 @@ node-count bookkeeping used by the table jobs."""
 from __future__ import annotations
 
 import gc
+import importlib
+import sys
 import weakref
+import zipfile
+import zipimport
 
 import numpy as np
 import pytest
 
 from repro.core.search import brute_force_topk
+from repro.dist.framework import drop_zip_finders
 from repro.dist.repose import Repose
 from tests.util import (
     MEASURE_PARAMS,
@@ -206,3 +211,65 @@ def test_erp_default_gap_is_region_center(spark, tdrive_smoke):
     minx, miny, maxx, maxy = rep.config["bounds"]
     assert rep.config["gap"] == ((minx + maxx) / 2, (miny + maxy) / 2)
     rep.unpersist()
+
+
+@pytest.fixture
+def two_module_zip(tmp_path, monkeypatch):
+    """A zip archive holding modules ``zipmod_a`` and ``zipmod_b``, first
+    on ``sys.path``; both modules and the archive's finder are removed
+    afterwards."""
+    archive = tmp_path / "mods.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        z.writestr("zipmod_a.py", "VALUE = 1\n")
+        z.writestr("zipmod_b.py", "VALUE = 2\n")
+    monkeypatch.syspath_prepend(str(archive))
+    yield str(archive)
+    for name in ("zipmod_a", "zipmod_b"):
+        sys.modules.pop(name, None)
+    sys.path_importer_cache.pop(str(archive), None)
+    zipimport._zip_directory_cache.pop(str(archive), None)
+
+
+def test_drop_zip_finders_keeps_imports(two_module_zip, monkeypatch):
+    """Only zip finders are dropped; after that ``invalidate_caches``
+    re-reads no archive, and a module not yet imported from the same
+    archive still imports."""
+    assert importlib.import_module("zipmod_a").VALUE == 1
+    before = dict(sys.path_importer_cache)
+    assert isinstance(before[two_module_zip], zipimport.zipimporter)
+    drop_zip_finders()
+    after = dict(sys.path_importer_cache)
+    removed = before.keys() - after.keys()
+    assert two_module_zip in removed
+    assert all(isinstance(before[p], zipimport.zipimporter) for p in removed)
+    assert not any(isinstance(f, zipimport.zipimporter) for f in after.values())
+    assert all(after[p] is before[p] for p in after)
+
+    reads = []
+    read_directory = zipimport._read_directory
+    monkeypatch.setattr(
+        zipimport, "_read_directory", lambda path: reads.append(path) or read_directory(path)
+    )
+    importlib.invalidate_caches()
+    assert importlib.import_module("zipmod_b").VALUE == 2
+    assert reads == []
+
+
+def _import_after_drop(_):
+    """In a worker: drop the zip finders, then import a PySpark module
+    no task has imported yet."""
+    import pyspark
+
+    name = "pyspark.ml.linalg"
+    fresh = name not in sys.modules
+    drop_zip_finders()
+    importlib.invalidate_caches()
+    mod = importlib.import_module(name)
+    return fresh, type(mod.__loader__) is type(pyspark.__loader__)
+
+
+def test_worker_imports_after_drop(spark, repose_hausdorff, tdrive_queries):
+    _, q = tdrive_queries[0]
+    repose_hausdorff.query(q, 5)
+    got = spark.sparkContext.parallelize([0], 1).map(_import_after_drop).collect()
+    assert got == [(True, True)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.measures import METRICS, get_measure
+from repro.core.pivots import query_pivot_dists
 from repro.core.rptrie import RPTrie
 from repro.core.search import SearchStats, brute_force_topk, search_topk
 from repro.core.zorder import Grid
@@ -122,6 +123,23 @@ def test_pivots_reduce_work():
     b = search_topk(t_yes, DATA, q, 10, measure="hausdorff", stats=s_yes)
     assert topk_dists_equal(a, b)
     assert s_yes.exact_computed <= s_no.exact_computed
+
+
+@pytest.mark.parametrize("measure", ["hausdorff", "frechet"])
+def test_given_dqp_matches_inline(measure):
+    """Query-to-pivot distances passed in (as ``Repose.query`` ships them)
+    give the same ids and the same pruning as computing them inline."""
+    trie = make_trie(measure)
+    fn = get_measure(measure)
+    for seed in range(3):
+        q = rnd_query(seed)
+        s_inline, s_given = SearchStats(), SearchStats()
+        a = search_topk(trie, DATA, q, 10, measure=measure, stats=s_inline)
+        dqp = query_pivot_dists(q, PIVOTS, fn)
+        b = search_topk(trie, DATA, q, 10, measure=measure, stats=s_given, dqp=dqp)
+        assert a == b
+        for key in SearchStats.__slots__:
+            assert getattr(s_inline, key) == getattr(s_given, key), key
 
 
 def test_identical_trajectories_share_leaf():
