@@ -25,6 +25,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.baselines.rtree import STRtree
 from repro.baselines.theta import ThetaTopK
 from repro.core.measures import get_measure
+from repro.core.search import scan_topk
 from repro.dist.framework import LocalPack
 
 _POINT_BYTES = 16
@@ -72,18 +73,14 @@ class DftPack(LocalPack):
         )
         super().__init__(pid, len(trajs), time.perf_counter() - t0, idx_bytes)
 
-    def search(self, qpts, k, ctx):
+    def search(self, qpts, k, ctx, kth):
         theta = ctx["theta"]
         near = self.tree.query_near(qpts, theta, self.seg_mbrs)
         near_count = np.zeros(len(self.tids), dtype=np.int64)
         for t in self.seg_tid[near]:
             near_count[self.tid_index[int(t)]] += 1
-        cand = self.tids[near_count == self.seg_count]
-        scored = sorted(
-            ((self.fn(qpts, self.trajs[int(t)]), int(t)) for t in cand),
-            key=lambda x: (x[0], x[1]),
-        )
-        return scored[:k]
+        cand = self.tids[near_count == self.seg_count].tolist()
+        return scan_topk(self.fn, ((t, self.trajs[t]) for t in cand), qpts, k, d_k=kth)
 
 
 class Dft(ThetaTopK):

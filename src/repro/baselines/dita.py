@@ -21,6 +21,7 @@ unsupported measures, mirroring the "/" cells of Table IV.
 """
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -28,6 +29,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.theta import ThetaTopK
 from repro.core.measures import get_measure
+from repro.core.search import scan_topk
 from repro.dist.framework import LocalPack
 
 _POINT_BYTES = 16
@@ -165,16 +167,14 @@ class DitaPack(LocalPack):
                     stack.append((child, depth + 1))
         return out
 
-    def search(self, qpts, k, ctx):
+    def search(self, qpts, k, ctx, kth):
         if self.pid in ctx.get("skip", ()):  # global partition pruning
             return []
         theta = ctx["theta"]
         cand = self._candidates(qpts, theta)
-        scored = sorted(
-            ((self.fn(qpts, self.trajs[t]), t) for t in cand),
-            key=lambda x: (x[0], x[1]),
-        )
-        return [st for st in scored if st[0] <= theta][:k]
+        # (θ, ∞) admits every distance ≤ θ
+        d_k = min(kth, (theta, math.inf))
+        return scan_topk(self.fn, ((t, self.trajs[t]) for t in cand), qpts, k, d_k=d_k)
 
 
 class Dita(ThetaTopK):

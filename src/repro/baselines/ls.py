@@ -1,8 +1,8 @@
 """LS baseline (paper §VII-A): per-partition brute-force linear scan.
 
-Computes the exact distance between the query and every trajectory in
-each partition (same kernels as every other algorithm) and merges the
-per-partition top-k lists on the driver. No index: IS and IT are "/" in
+Refines every trajectory of each partition against the query (same
+kernels and the same bounded refine as every other algorithm) and merges
+the per-partition top-k lists on the driver. No index: IS and IT are "/" in
 the paper's tables (we report the trivial pack-build time for honesty).
 """
 from __future__ import annotations
@@ -12,7 +12,8 @@ import time
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.search import brute_force_topk
+from repro.core.measures import get_measure
+from repro.core.search import scan_topk
 from repro.dist.framework import DistributedTopK, LocalPack
 
 
@@ -24,10 +25,9 @@ class LsPack(LocalPack):
         self.params = {"eps": cfg.get("eps"), "gap": cfg.get("gap")}
         super().__init__(pid, len(trajs), time.perf_counter() - t0, 0)
 
-    def search(self, qpts, k, ctx):
-        return brute_force_topk(
-            self.trajs, qpts, k, measure=self.measure, **self.params
-        )
+    def search(self, qpts, k, ctx, kth):
+        fn = get_measure(self.measure, **self.params)
+        return scan_topk(fn, self.trajs, qpts, k, d_k=kth)
 
 
 class Ls(DistributedTopK):

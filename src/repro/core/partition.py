@@ -19,6 +19,7 @@ Python is the per-trajectory geohash code sequence (inherently per-row).
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pandas as pd
@@ -32,14 +33,22 @@ MAX_BITS = 14  # finest geohash granularity tried by the coarsening loop
 
 
 def dataset_bounds(traj_df: DataFrame) -> tuple[float, float, float, float]:
-    """Global (minx, miny, maxx, maxy) over all trajectory points."""
+    """Global (minx, miny, maxx, maxy) over all trajectory points.
+
+    Raises ``ValueError`` when a coordinate is NaN or ±inf. No extra job
+    is needed to find one: Spark orders NaN above every number, so a NaN
+    makes ``maxx`` or ``maxy`` NaN, and an infinity is itself a bound.
+    """
     row = traj_df.select(
         F.min(F.array_min("xs")).alias("minx"),
         F.min(F.array_min("ys")).alias("miny"),
         F.max(F.array_max("xs")).alias("maxx"),
         F.max(F.array_max("ys")).alias("maxy"),
     ).first()
-    return (row.minx, row.miny, row.maxx, row.maxy)
+    bounds = (row.minx, row.miny, row.maxx, row.maxy)
+    if not all(b is not None and math.isfinite(b) for b in bounds):
+        raise ValueError(f"trajectory coordinates must be finite; bounds are {bounds}")
+    return bounds
 
 
 def _stable_hash64(b: bytes) -> int:

@@ -29,8 +29,8 @@ chain ids, in insertion order:
   ``dmax[l]`` (max distance from those trajectories to the node's
   reference trajectory) and ``leaf_hr[l]``.
 
-``refpts``/``rects`` (each node's cell centre and rectangle) are derived
-from ``zs`` and not pickled.
+A node's cell geometry is not stored: the search derives the query's
+distances to a cell from its z-value and the grid.
 """
 from __future__ import annotations
 
@@ -210,7 +210,7 @@ class RPTrie:
                 hr[e, :, 0] = below[:, :, 0].min(axis=0)
                 hr[e, :, 1] = below[:, :, 1].max(axis=0)
             max_suffix[e] = max((len(runs[c]) + max_suffix[c] for c in range(a, b)), default=0)
-        self._load({
+        self.__dict__.update({
             "zs": np.array([z for run in runs for z in run], dtype=np.int64),
             "off": np.cumsum([0] + [len(r) for r in runs], dtype=np.int32),
             "depth": np.array(depth, dtype=np.int32),
@@ -223,19 +223,6 @@ class RPTrie:
             "dmax": np.array([max(dmaxs[i] for i in g) for g in groups], dtype=float),
             "leaf_hr": leaf_hr,
         })
-
-    # -- pickling ships the arrays; node geometry is re-derived ----------
-    def _load(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.refpts = self.grid.refpoints_of_z(self.zs)
-        self.rects = self.grid.cell_rects_of_z(self.zs)
-
-    __setstate__ = _load
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["refpts"], state["rects"]
-        return state
 
     # -- stats ---------------------------------------------------------
     def node_count(self) -> int:

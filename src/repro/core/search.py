@@ -28,57 +28,101 @@ soon as the monotone column minimum crosses the current d_k. This is an
 implementation detail (DESIGN.md §3): bound values are exactly those of
 node-at-a-time traversal.
 
+A node's DP column needs the query's distances to its cell, and the
+trie has far more nodes than the grid has cells that a query reaches, so
+each search computes them once per cell, on first use (``_Columns``), and
+an engine's ``advance`` takes the chain's z-values.
+
+The answer is tie-exact: the first k by ``(dist, tid)`` (``TopK``). A
+bound prunes only when it is strictly above the k-th distance, and a
+candidate at exactly that distance still enters when its tid is smaller.
+Each exact distance is refined against the k-th distance as a ``bound``,
+so it stops early when it cannot enter (``measures``).
+
 The pivot lower bound (§IV-D) uses the node HR arrays with the standard
 symmetric metric bound (see DESIGN.md §3 re: the paper's Eq. 5).
 """
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterable
 
 import numpy as np
 
-from .measures import METRICS, get_measure
+from .measures import METRICS, bounded, get_measure
 from .pivots import query_pivot_dists
 from .rptrie import RPTrie
+from .zorder import Grid, points_to_rect_dist
 
 
-def _col_point_dists(qpts: np.ndarray, p: np.ndarray) -> list[float]:
-    """d(q_i, p) for one reference point — one DP column's costs."""
-    dx = qpts[:, 0] - p[0]
-    dy = qpts[:, 1] - p[1]
-    return np.sqrt(dx * dx + dy * dy).tolist()
+class _Columns(dict):
+    """z → the query's cost column for one grid cell, computed on first
+    read and kept for the rest of the search.
+
+    The column holds one value per query point: its distance to the cell
+    centre (Hausdorff, Frechet) or the optimistic ``d'`` to the cell
+    (DTW, ERP, EDR, LCSS), in whatever form the engine's DP reads. Lazy,
+    because a fine grid has ~10⁵ cells and a search reads few of them.
+    """
+
+    def __init__(self, column):
+        super().__init__()
+        self.column = column
+
+    def __missing__(self, z):
+        col = self[z] = self.column(z)
+        return col
 
 
-def _col_rect_dists(qpts: np.ndarray, rect: np.ndarray) -> list[float]:
-    """d'(q_i, cell) for one cell rect — optimistic column costs."""
-    dx = np.maximum(np.maximum(rect[0] - qpts[:, 0], qpts[:, 0] - rect[2]), 0.0)
-    dy = np.maximum(np.maximum(rect[1] - qpts[:, 1], qpts[:, 1] - rect[3]), 0.0)
-    return np.sqrt(dx * dx + dy * dy).tolist()
+def _centre_dists(qpts: np.ndarray, grid: Grid, z: int) -> np.ndarray:
+    """d(q_i, p) to the reference point p of z's cell (the values of
+    ``Grid.refpoints_of_z``)."""
+    ix, iy = grid.cell_index(z)
+    dx = qpts[:, 0] - (grid.minx + (ix + 0.5) * grid.delta)
+    dy = qpts[:, 1] - (grid.miny + (iy + 0.5) * grid.delta)
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _cell_rect(grid: Grid, z: int) -> tuple[float, float, float, float]:
+    """z's cell as (minx, miny, maxx, maxy), as ``Grid.cell_rects_of_z``."""
+    ix, iy = grid.cell_index(z)
+    x0 = grid.minx + ix * grid.delta
+    y0 = grid.miny + iy * grid.delta
+    return x0, y0, x0 + grid.delta, y0 + grid.delta
+
+
+def _cell_dists(qpts: np.ndarray, grid: Grid, z: int) -> np.ndarray:
+    """d'(q_i, cell): 0 inside the cell (§VI-B)."""
+    return points_to_rect_dist(qpts, _cell_rect(grid, z))
 
 
 class _HausdorffEngine:
     """CompLB for Hausdorff (Algorithm 1). State = (r, c_max)."""
 
-    def __init__(self, qpts: np.ndarray, slack: float):
-        self.q = qpts
+    def __init__(self, qpts: np.ndarray, grid: Grid):
         self.m = len(qpts)
-        self.slack = slack  # √2δ/2
+        self.slack = grid.half_diag  # √2δ/2
+
+        def column(z):
+            d = _centre_dists(qpts, grid, z)
+            return d, float(d.min())
+
+        self.cols = _Columns(column)
 
     def root_state(self):
         return (np.full(self.m, np.inf), 0.0)
 
-    def advance(self, state, refpts, rects, dk):
+    def advance(self, state, zs, dk):
         r, cmax = state
         r = r.copy()
-        qx, qy = self.q[:, 0], self.q[:, 1]
-        for p in refpts:
-            d = np.sqrt((qx - p[0]) ** 2 + (qy - p[1]) ** 2)
+        cols = self.cols
+        for z in zs:
+            d, c = cols[z]
             np.minimum(r, d, out=r)
-            c = float(d.min())
             if c > cmax:
                 cmax = c
-                if cmax - self.slack >= dk:
+                if cmax - self.slack > dk:
                     return None
         return (r, cmax)
 
@@ -93,20 +137,26 @@ class _HausdorffEngine:
 class _FrechetEngine:
     """CompLB for discrete Frechet (Eqs. 7–9). State = last DP column."""
 
-    def __init__(self, qpts: np.ndarray, slack: float):
-        self.q = qpts
+    def __init__(self, qpts: np.ndarray, grid: Grid):
         self.m = len(qpts)
-        self.slack = slack
+        self.slack = grid.half_diag
+        self.cols = _Columns(lambda z: _centre_dists(qpts, grid, z).tolist())
 
     def root_state(self):
         return None  # no column yet
 
-    def advance(self, state, refpts, rects, dk):
+    def advance(self, state, zs, dk):
         f = state
-        m = self.m
+        m, cols = self.m, self.cols
         cut = dk + self.slack
-        for p in refpts:
-            d = _col_point_dists(self.q, p)
+        last = None
+        for z in zs:
+            if z == last:
+                # a repeated reference point leaves the Frechet column as
+                # it is (a coupling may stay on a point), so skip its DP
+                continue
+            last = z
+            d = cols[z]
             nf = [0.0] * m
             if f is None:
                 run = d[0]
@@ -129,7 +179,7 @@ class _FrechetEngine:
                     nf[i] = di if di > best else best
                     prev = fi
             f = nf
-            if min(f) >= cut:  # c_min monotone ⇒ safe chain abort
+            if min(f) > cut:  # c_min monotone ⇒ safe chain abort
                 return None
         return f
 
@@ -143,18 +193,18 @@ class _FrechetEngine:
 class _DtwEngine:
     """CompLB for DTW (Eqs. 13–15) using cell distances d'."""
 
-    def __init__(self, qpts: np.ndarray, slack: float):
-        self.q = qpts
+    def __init__(self, qpts: np.ndarray, grid: Grid):
         self.m = len(qpts)
+        self.cols = _Columns(lambda z: _cell_dists(qpts, grid, z).tolist())
 
     def root_state(self):
         return None
 
-    def advance(self, state, refpts, rects, dk):
+    def advance(self, state, zs, dk):
         f = state
-        m = self.m
-        for rect in rects:
-            d = _col_rect_dists(self.q, rect)
+        m, cols = self.m, self.cols
+        for z in zs:
+            d = cols[z]
             nf = [0.0] * m
             if f is None:
                 acc = 0.0
@@ -173,7 +223,7 @@ class _DtwEngine:
                     nf[i] = d[i] + best
                     prev = fi
             f = nf
-            if min(f) >= dk:  # c_min (Eq. 13) monotone
+            if min(f) > dk:  # c_min (Eq. 13) monotone
                 return None
         return f
 
@@ -192,11 +242,19 @@ class _ErpEngine:
     exact d(q_i, g). State = column of length m+1 (incl. boundary row).
     """
 
-    def __init__(self, qpts: np.ndarray, slack: float, gap=(0.0, 0.0)):
-        self.q = qpts
+    def __init__(self, qpts: np.ndarray, grid: Grid, gap=(0.0, 0.0)):
         self.m = len(qpts)
-        self.gap = np.asarray(gap, dtype=float)
-        self.ga = np.sqrt(((qpts - self.gap) ** 2).sum(1)).tolist()
+        g = np.asarray(gap, dtype=float)
+        self.ga = np.sqrt(((qpts - g) ** 2).sum(1)).tolist()
+
+        def column(z):
+            # the match costs, and d'(cell, g) for gapping the data point
+            rect = _cell_rect(grid, z)
+            dx = max(rect[0] - g[0], g[0] - rect[2], 0.0)
+            dy = max(rect[1] - g[1], g[1] - rect[3], 0.0)
+            return points_to_rect_dist(qpts, rect).tolist(), float(np.hypot(dx, dy))
+
+        self.cols = _Columns(column)
 
     def root_state(self):
         col = [0.0] * (self.m + 1)
@@ -206,15 +264,11 @@ class _ErpEngine:
             col[i + 1] = acc
         return col
 
-    def advance(self, state, refpts, rects, dk):
+    def advance(self, state, zs, dk):
         f = state
-        m, ga = self.m, self.ga
-        gq = self.gap
-        for rect in rects:
-            d = _col_rect_dists(self.q, rect)
-            dx = max(rect[0] - gq[0], gq[0] - rect[2], 0.0)
-            dy = max(rect[1] - gq[1], gq[1] - rect[3], 0.0)
-            gp = float(np.hypot(dx, dy))  # d'(cell_j, g)
+        m, ga, cols = self.m, self.ga, self.cols
+        for z in zs:
+            d, gp = cols[z]
             nf = [0.0] * (m + 1)
             nf[0] = f[0] + gp
             for i in range(1, m + 1):
@@ -228,7 +282,7 @@ class _ErpEngine:
                     best = v
                 nf[i] = best
             f = nf
-            if min(f) >= dk:
+            if min(f) > dk:
                 return None
         return f
 
@@ -242,23 +296,25 @@ class _ErpEngine:
 class _EdrEngine:
     """EDR extension: 0/1 edit DP with optimistic cell matching."""
 
-    def __init__(self, qpts: np.ndarray, slack: float, eps: float = 0.0):
-        self.q = qpts
+    def __init__(self, qpts: np.ndarray, grid: Grid, eps: float = 0.0):
         self.m = len(qpts)
-        self.eps = eps
+        # per cell, the substitution cost: 0 where q_i may match a point in it
+        self.cols = _Columns(
+            lambda z: np.where(_cell_dists(qpts, grid, z) <= eps, 0.0, 1.0).tolist()
+        )
 
     def root_state(self):
         return [float(i) for i in range(self.m + 1)]  # E[i][0] = i
 
-    def advance(self, state, refpts, rects, dk):
+    def advance(self, state, zs, dk):
         f = state
-        m, eps = self.m, self.eps
-        for rect in rects:
-            d = _col_rect_dists(self.q, rect)
+        m, cols = self.m, self.cols
+        for z in zs:
+            sub = cols[z]
             nf = [0.0] * (m + 1)
             nf[0] = f[0] + 1.0
             for i in range(1, m + 1):
-                best = f[i - 1] + (0.0 if d[i - 1] <= eps else 1.0)
+                best = f[i - 1] + sub[i - 1]
                 v = f[i] + 1.0
                 if v < best:
                     best = v
@@ -267,7 +323,7 @@ class _EdrEngine:
                     best = v
                 nf[i] = best
             f = nf
-            if min(f) >= dk:
+            if min(f) > dk:
                 return None
         return f
 
@@ -286,23 +342,23 @@ class _LcssEngine:
     min(m, n) ≥ min(m, j), giving an admissible distance lower bound.
     """
 
-    def __init__(self, qpts: np.ndarray, slack: float, eps: float = 0.0):
-        self.q = qpts
+    def __init__(self, qpts: np.ndarray, grid: Grid, eps: float = 0.0):
         self.m = len(qpts)
-        self.eps = eps
+        # per cell, whether q_i may match a point in it
+        self.cols = _Columns(lambda z: (_cell_dists(qpts, grid, z) <= eps).tolist())
 
     def root_state(self):
         return [0.0] * (self.m + 1)
 
-    def advance(self, state, refpts, rects, dk):
+    def advance(self, state, zs, dk):
         f = state
-        m, eps = self.m, self.eps
-        for rect in rects:
-            d = _col_rect_dists(self.q, rect)
+        m, cols = self.m, self.cols
+        for z in zs:
+            hit = cols[z]
             nf = [0.0] * (m + 1)
             for i in range(1, m + 1):
                 keep = f[i] if f[i] >= nf[i - 1] else nf[i - 1]
-                if d[i - 1] <= eps:
+                if hit[i - 1]:
                     grown = f[i - 1] + 1.0
                     nf[i] = grown if grown > keep else keep
                 else:
@@ -336,19 +392,19 @@ _ENGINES = {
 def make_engine(
     measure: str,
     qpts: np.ndarray,
-    slack: float,
+    grid: Grid,
     *,
     eps: float | None = None,
     gap: tuple[float, float] | None = None,
 ):
-    """Instantiate the CompLB engine for a measure (``eps``/``gap`` as in
-    ``measures.get_measure``)."""
+    """Instantiate the CompLB engine for a measure over ``grid``'s cells
+    (``eps``/``gap`` as in ``measures.get_measure``)."""
     cls = _ENGINES[measure]
     if measure == "erp" and gap is not None:
-        return cls(qpts, slack, gap=gap)
+        return cls(qpts, grid, gap=gap)
     if measure in ("edr", "lcss"):
-        return cls(qpts, slack, eps=eps)
-    return cls(qpts, slack)
+        return cls(qpts, grid, eps=eps)
+    return cls(qpts, grid)
 
 
 def _pivot_lbs(dqp: np.ndarray, hr: np.ndarray, slack: float) -> np.ndarray:
@@ -379,6 +435,35 @@ class SearchStats:
         self.pushed = 0
 
 
+class TopK:
+    """The first ``k`` ``(dist, tid)`` below a threshold.
+
+    ``dist``/``tid`` is the threshold: the seed until ``k`` candidates are
+    in, then the k-th of them. A float seed ``x`` admits only distances
+    below ``x``; a ``(dist, tid)`` seed, such as the k-th carried over
+    from other packs, also admits ``dist`` itself with a smaller tid.
+    """
+
+    __slots__ = ("k", "heap", "dist", "tid")
+
+    def __init__(self, k: int, seed: float | tuple[float, int] = math.inf):
+        self.k = k
+        self.heap: list[tuple[float, int]] = []  # max-heap of (−dist, −tid)
+        self.dist, self.tid = seed if isinstance(seed, tuple) else (seed, -math.inf)
+
+    def offer(self, dist: float, tid: int) -> None:
+        if dist < self.dist or (dist == self.dist and tid < self.tid):
+            heap = self.heap
+            heapq.heappush(heap, (-dist, -tid))
+            if len(heap) > self.k:
+                heapq.heappop(heap)
+            if len(heap) == self.k:
+                self.dist, self.tid = -heap[0][0], -heap[0][1]
+
+    def result(self) -> list[tuple[float, int]]:
+        return sorted((-d, -t) for d, t in self.heap)
+
+
 def search_topk(
     trie: RPTrie,
     trajs: dict[int, np.ndarray],
@@ -388,31 +473,39 @@ def search_topk(
     measure: str,
     eps: float | None = None,
     gap: tuple[float, float] | None = None,
-    d_k: float = np.inf,
+    d_k: float | tuple[float, int] = math.inf,
     stats: SearchStats | None = None,
     dqp: np.ndarray | None = None,
 ) -> list[tuple[float, int]]:
-    """Exact local top-k (Algorithm 2): returns ``[(dist, tid)]`` ascending.
+    """Exact local top-k (Algorithm 2): the first ``k`` ``(dist, tid)``
+    below ``d_k``, ascending.
 
-    ``d_k`` seeds the pruning threshold (useful when merging partitions).
-    ``dqp`` is the query-to-pivot distances of ``trie.pivots``, when the
-    caller has them already; otherwise they are computed here.
+    ``d_k`` seeds the threshold (see :class:`TopK`): a float admits only
+    distances below it, and a ``(dist, tid)`` pair, the running k-th of
+    the packs a task searched before this one, admits what sorts before
+    it. Ties are exact: a bound prunes only when it is strictly above the
+    threshold's distance, and each refine gets that distance as its
+    ``bound``. ``dqp`` is the query-to-pivot distances of
+    ``trie.pivots``, when the caller has them already; otherwise they are
+    computed here. The kernel comes from ``get_measure``; one that takes
+    no ``bound`` refines in full (``measures.bounded``).
     """
     fn = get_measure(measure, eps=eps, gap=gap)
-    engine = make_engine(measure, qpts, trie.grid.half_diag, eps=eps, gap=gap)
+    refine = bounded(fn)
+    engine = make_engine(measure, qpts, trie.grid, eps=eps, gap=gap)
     use_pivots = measure in METRICS and trie.n_pivots > 0
     if use_pivots and dqp is None:
         dqp = query_pivot_dists(qpts, trie.pivots, fn)
     slack_p = trie.pivot_slack
     # per-chain and per-leaf fields as lists: the loop below indexes
     # them once per pop, where numpy scalars would cost more
-    off, kid_off = trie.off.tolist(), trie.kid_off.tolist()
+    zs, off, kid_off = trie.zs.tolist(), trie.off.tolist(), trie.kid_off.tolist()
     depth, suffix, leaf = trie.depth.tolist(), trie.max_suffix.tolist(), trie.leaf.tolist()
     tids, tid_off, dmax = trie.tids.tolist(), trie.tid_off.tolist(), trie.dmax.tolist()
-    refpts, rects, hr, leaf_hr = trie.refpts, trie.rects, trie.hr, trie.leaf_hr
+    hr, leaf_hr = trie.hr, trie.leaf_hr
 
     stats = stats or SearchStats()
-    result: list[tuple[float, int]] = []  # max-heap via negated dist
+    top = TopK(k, d_k)
     counter = 0
     heap: list = []
 
@@ -429,19 +522,14 @@ def search_topk(
 
     while heap:
         lb, _, kind, payload = heapq.heappop(heap)
-        if lb >= d_k:
+        dk = top.dist
+        if lb > dk:
             break
         if kind == LEAF:
             stats.leaves_visited += 1
             for tid in tids[tid_off[payload] : tid_off[payload + 1]]:
                 stats.exact_computed += 1
-                dist = fn(qpts, trajs[tid])
-                if dist < d_k:
-                    heapq.heappush(result, (-dist, tid))
-                    if len(result) > k:
-                        heapq.heappop(result)
-                    if len(result) == k:
-                        d_k = -result[0][0]
+                top.offer(refine(qpts, trajs[tid], bound=top.dist), tid)
             continue
         # CHAIN: advance chain e by one chunk, then re-enqueue — best-first
         # ordering operates at chunk granularity, so no chain runs to its
@@ -449,27 +537,25 @@ def search_topk(
         e, pos, state = payload
         if pos == 0 and use_pivots:
             # HR is identical along a chain: one check covers its subtree
-            if float(_pivot_lbs(dqp, hr[e], slack_p)) >= d_k:
+            if float(_pivot_lbs(dqp, hr[e], slack_p)) > dk:
                 continue
         stats.nodes_expanded += 1
         lo = off[e]
         n_chain = off[e + 1] - lo
         hi = min(pos + CHAIN_CHUNK, n_chain)
-        st = engine.advance(
-            state, refpts[lo + pos : lo + hi], rects[lo + pos : lo + hi], d_k
-        )
+        st = engine.advance(state, zs[lo + pos : lo + hi], dk)
         if st is None:
             continue  # monotone bound crossed d_k: subtree pruned
         if hi < n_chain:
             # interior of a single-child run: depth/suffix are derivable
             clb = engine.node_lb(st, depth[e] - n_chain + hi, n_chain - hi + suffix[e])
-            if clb < d_k:
+            if clb <= dk:
                 counter += 1
                 heapq.heappush(heap, (clb, counter, CHAIN, (e, hi, st)))
                 stats.pushed += 1
             continue
         clb = engine.node_lb(st, depth[e], suffix[e])
-        if clb >= d_k:
+        if clb > dk:
             continue
         for c in range(kid_off[e], kid_off[e + 1]):
             push_chain(c, clb, st)
@@ -479,12 +565,31 @@ def search_topk(
             if use_pivots:
                 llb = max(llb, float(_pivot_lbs(dqp, leaf_hr[l], slack_p)))
             llb = max(llb, clb)
-            if llb < d_k:
+            if llb <= dk:
                 counter += 1
                 heapq.heappush(heap, (llb, counter, LEAF, l))
                 stats.pushed += 1
 
-    return sorted(((-d, t) for d, t in result), key=lambda x: (x[0], x[1]))
+    return top.result()
+
+
+def scan_topk(
+    fn,
+    trajs: Iterable[tuple[int, np.ndarray]],
+    qpts: np.ndarray,
+    k: int,
+    *,
+    d_k: float | tuple[float, int] = math.inf,
+) -> list[tuple[float, int]]:
+    """The first ``k`` ``(dist, tid)`` below ``d_k`` (as in
+    :func:`search_topk`) of ``trajs``, each refined by kernel ``fn`` with
+    the running k-th distance as its ``bound``: the refine the LS, DFT
+    and DITA packs share with REPOSE."""
+    refine = bounded(fn)
+    top = TopK(k, d_k)
+    for tid, pts in trajs:
+        top.offer(refine(qpts, pts, bound=top.dist), tid)
+    return top.result()
 
 
 def brute_force_topk(
@@ -496,7 +601,8 @@ def brute_force_topk(
     eps: float | None = None,
     gap: tuple[float, float] | None = None,
 ) -> list[tuple[float, int]]:
-    """Reference linear scan; also the kernel used by the LS baseline."""
+    """Reference linear scan with the full kernels: the first k by
+    ``(dist, tid)``. The tests' oracle."""
     fn = get_measure(measure, eps=eps, gap=gap)
     scored = sorted(
         ((fn(qpts, pts), tid) for tid, pts in trajs), key=lambda x: (x[0], x[1])

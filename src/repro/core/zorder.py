@@ -87,6 +87,15 @@ class Grid:
         return interleave(ix, iy, self.bits)
 
     # -- cell → geometry ----------------------------------------------
+    def cell_index(self, z: int) -> tuple[int, int]:
+        """Integer cell coordinates ``(ix, iy)`` of one z-value: the
+        scalar :func:`deinterleave`, without numpy's per-call cost."""
+        ix = iy = 0
+        for b in range(2 * self.bits - 1, 0, -2):
+            ix = (ix << 1) | ((z >> b) & 1)
+            iy = (iy << 1) | ((z >> (b - 1)) & 1)
+        return ix, iy
+
     def refpoints_of_z(self, zs: np.ndarray) -> np.ndarray:
         """Cell centers (reference points) for z-values; shape (n, 2)."""
         ix, iy = deinterleave(zs, self.bits)

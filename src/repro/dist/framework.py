@@ -5,15 +5,21 @@ by a global partitioning strategy (DataFrame ops, ``core.partition``),
 keyed and placed with a custom partitioner (the `Partitioner` subclass of
 §V-C), and each partition is packaged into a single ``LocalPack`` object
 (the paper's ``RpTraj`` case class: trajectories + local index) by
-``mapPartitions``. The resulting ``RDD[LocalPack]`` is cached; queries map
-over its packs and the driver merges the per-partition top-k lists.
+``mapPartitions``. The resulting ``RDD[LocalPack]`` is cached; a query
+runs one ``mapPartitions`` task per Spark partition, and the driver
+merges the per-task top-k lists.
 
 The paper runs one local index per core (N_G = cores). Here N_G may exceed
 the cores, and every Spark task costs a fixed scheduling floor per query,
 so the N_G packs are placed on ``min(N_G, cores)`` Spark partitions by
 ``pid % n_tasks``: each task builds, and later searches, the packs it
 owns. The pack, not the Spark partition, stays the unit of partitioning
-strategy, summaries and per-partition local times.
+strategy, summaries and per-partition local times. A task searches its
+packs in pid order and hands each the task's running k-th ``(dist,
+tid)``, as the paper's one local search per core prunes against its
+running k-th distance (§IV): a later pack starts from that threshold
+rather than from infinity. The threshold is tie-exact, so the answer is
+still the first k by ``(dist, tid)``.
 
 The cached ``RDD[LocalPack]`` is the only pack cache. PySpark caches its
 elements as pickled bytes, where the paper's Scala ``RDD[RpTraj]`` holds
@@ -40,6 +46,7 @@ relational work (bounds, clustering, pid assignment) stays in DataFrames.
 """
 from __future__ import annotations
 
+import math
 import sys
 import time
 import zipimport
@@ -64,7 +71,11 @@ class LocalPack:
         self.build_secs = build_secs
         self.index_bytes = index_bytes
 
-    def search(self, qpts: np.ndarray, k: int, ctx: dict) -> list[tuple[float, int]]:
+    def search(
+        self, qpts: np.ndarray, k: int, ctx: dict, kth: tuple[float, int]
+    ) -> list[tuple[float, int]]:
+        """The pack's first ``k`` ``(dist, tid)`` that sort before
+        ``kth``, the running k-th of the packs its task searched before."""
         raise NotImplementedError
 
     def summary(self) -> dict:
@@ -88,6 +99,28 @@ def drop_zip_finders() -> None:
     for path, finder in list(cache.items()):
         if isinstance(finder, zipimport.zipimporter):
             del cache[path]
+
+
+#: the threshold before a task has k candidates: everything sorts before it
+NO_KTH = (math.inf, math.inf)
+
+
+def search_packs(packs, qpts: np.ndarray, k: int, ctx: dict):
+    """One task's local search: its packs in turn, each against the
+    task's running k-th ``(dist, tid)``. ``packs`` come in pid order, as
+    the build task yields them.
+
+    Returns the seconds each pack's search took and the task's top-k.
+    """
+    times, top, kth = [], [], NO_KTH
+    for pack in packs:
+        t0 = time.perf_counter()
+        res = pack.search(qpts, k, ctx, kth)
+        times.append(time.perf_counter() - t0)
+        top = sorted(top + res)[:k]
+        if len(top) == k:
+            kth = top[-1]
+    return times, top
 
 
 def _rows_to_trajs(rows) -> list[tuple[int, np.ndarray]]:
@@ -168,28 +201,29 @@ class DistributedTopK:
         *,
         ctx: dict | None = None,
     ) -> list[tuple[float, int]]:
-        """Distributed top-k: fan out to the packs, merge on the driver.
+        """Distributed top-k: one ``mapPartitions`` task per Spark
+        partition searches its packs (``search_packs``), carrying the
+        task's k-th from pack to pack; the driver merges the tasks' top-k
+        lists into the first k by ``(dist, tid)``.
 
-        Besides the wall-clock ``last_query_time``, records per-partition
-        local search seconds (``last_local_times`` / ``last_local_max``):
-        the slowest partition is what determines stage latency on a real
-        cluster, without the fixed local-mode RPC floor.
+        Besides the wall-clock ``last_query_time``, records per-pack local
+        search seconds (``last_local_times``: N_G entries, in task order)
+        and their maximum (``last_local_max``): the slowest partition is
+        what determines stage latency on a real cluster, without the fixed
+        local-mode RPC floor.
         """
         t0 = time.perf_counter()
         ctx = dict(ctx or {})
         q = np.asarray(qpts, dtype=float)
 
-        def run(pack):
+        def run(packs):
             drop_zip_finders()
-            s = time.perf_counter()
-            res = pack.search(q, k, ctx)
-            return (time.perf_counter() - s, res)
+            yield search_packs(packs, q, k, ctx)
 
-        out = self.rdd.map(run).collect()
-        self.last_local_times = [t for t, _ in out]
+        out = self.rdd.mapPartitions(run).collect()
+        self.last_local_times = [t for times, _ in out for t in times]
         self.last_local_max = max(self.last_local_times, default=0.0)
-        results = [r for _, rs in out for r in rs]
-        merged = sorted(results, key=lambda x: (x[0], x[1]))[:k]
+        merged = sorted(r for _, top in out for r in top)[:k]
         self.last_query_time = time.perf_counter() - t0
         return merged
 

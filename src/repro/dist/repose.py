@@ -48,10 +48,10 @@ class ReposePack(LocalPack):
         super().__init__(pid, len(trajs), time.perf_counter() - t0, idx_bytes)
         self.node_count = self.trie.node_count()
 
-    def search(self, qpts, k, ctx):
+    def search(self, qpts, k, ctx, kth):
         return search_topk(
             self.trie, self.trajs, qpts, k, measure=self.measure,
-            dqp=ctx.get("dqp"), **self.params,
+            d_k=kth, dqp=ctx.get("dqp"), **self.params,
         )
 
     def summary(self):

@@ -52,15 +52,13 @@ def walk(trie, measure, qpts, tid):
     """Replay the engine along tid's path one node at a time (chains of
     length 1 — `advance` is sequential, so this equals chained calls)."""
     kw = MEASURE_PARAMS[measure]
-    engine = make_engine(measure, qpts, GRID.half_diag, **kw)
+    engine = make_engine(measure, qpts, GRID, **kw)
     chain = find_path(trie, tid)
     assert chain, f"tid {tid} not found"
     state = engine.root_state()
     lbs, states = [], []
     for nxt in chain:
-        state = engine.advance(
-            state, nxt.refpoint[None, :], nxt.rect[None, :], np.inf
-        )
+        state = engine.advance(state, [nxt.z], np.inf)
         assert state is not None
         lbs.append(float(engine.node_lb(state, nxt.depth, nxt.max_suffix)))
         states.append(state)

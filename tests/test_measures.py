@@ -230,3 +230,55 @@ def test_hyp_dtw_vs_ref(a, b):
 @given(a=_traj, b=_traj, eps=st.floats(0.1, 10.0))
 def test_hyp_edr_vs_ref(a, b, eps):
     assert M.edr(a, b, eps) == R.edr_ref(a, b, eps)
+
+
+# ------------------------------------------------------------ bounded refine
+
+_REF = {
+    "hausdorff": lambda a, b, kw: R.hausdorff_ref(a, b),
+    "frechet": lambda a, b, kw: R.frechet_ref(a, b),
+    "dtw": lambda a, b, kw: R.dtw_ref(a, b),
+    "erp": lambda a, b, kw: R.erp_ref(a, b, kw["gap"]),
+    "edr": lambda a, b, kw: R.edr_ref(a, b, kw["eps"]),
+    "lcss": lambda a, b, kw: R.lcss_ref(a, b, kw["eps"]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    measure=st.sampled_from(ALL),
+    a=_traj,
+    b=_traj,
+    eps=st.floats(0.5, 40.0),
+    gap=st.tuples(_coords, _coords),
+    scale=st.floats(0.0, 2.0),
+)
+def test_hyp_bounded_kernel(measure, a, b, eps, gap, scale):
+    """With any ``bound`` a kernel returns the exact distance when that
+    distance is ≤ the bound, and a value above the bound otherwise; the
+    bounds tried include the distance itself and values either side."""
+    kw = {"eps": eps} if measure in ("edr", "lcss") else {"gap": gap} if measure == "erp" else {}
+    fn = M.get_measure(measure, **kw)
+    ref = _REF[measure](a, b, kw)
+    full = fn(a, b)
+    assert full == pytest.approx(ref, abs=1e-6)
+    for bound in (scale * ref, full, np.nextafter(full, -np.inf), np.nextafter(full, np.inf), 0.0):
+        got = fn(a, b, bound=bound)
+        if full <= bound:
+            assert got == full
+            assert got == pytest.approx(ref, abs=1e-6)
+        else:
+            assert got > bound
+
+
+def test_bounded_wraps_foreign_kernels():
+    """Kernels of ``measures`` take a bound as they are; any other
+    two-argument callable is wrapped and refines in full."""
+    a, b = np.zeros((3, 2)), np.ones((4, 2))
+    assert M.bounded(M.frechet) is M.frechet
+    erp = M.get_measure("erp", gap=(1.0, 1.0))
+    assert M.bounded(erp) is erp
+    calls = []
+    plain = lambda x, y: calls.append(1) or M.frechet(x, y)  # noqa: E731
+    assert M.bounded(plain)(a, b, bound=0.0) == M.frechet(a, b)
+    assert calls == [1]

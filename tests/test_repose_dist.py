@@ -273,3 +273,23 @@ def test_worker_imports_after_drop(spark, repose_hausdorff, tdrive_queries):
     repose_hausdorff.query(q, 5)
     got = spark.sparkContext.parallelize([0], 1).map(_import_after_drop).collect()
     assert got == [(True, True)]
+
+
+@pytest.mark.parametrize("system", ["repose", "ls"])
+@pytest.mark.parametrize("column,value", [("xs", float("nan")), ("ys", float("inf"))])
+def test_non_finite_coordinates_rejected(spark, tdrive_trajs, system, column, value):
+    """A NaN or an infinity anywhere in the data is refused at ingest with
+    a ValueError naming the bounds, before any grid is built."""
+    from repro.baselines.ls import Ls
+
+    rows = [(t, p[:, 0].tolist(), p[:, 1].tolist()) for t, p in tdrive_trajs[:20]]
+    tid, xs, ys = rows[7]
+    bad = {"xs": list(xs), "ys": list(ys)}
+    bad[column][3] = value
+    rows[7] = (tid, bad["xs"], bad["ys"])
+    df = spark.createDataFrame(rows, "tid long, xs array<double>, ys array<double>")
+    with pytest.raises(ValueError, match="must be finite"):
+        if system == "repose":
+            Repose(spark, df, measure="hausdorff", delta=DELTA, n_partitions=NP)
+        else:
+            Ls(spark, df, measure="hausdorff", n_partitions=NP)

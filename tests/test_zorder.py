@@ -71,6 +71,15 @@ def test_refpoint_is_cell_center():
     assert rp == pytest.approx([2.5, 5.5])
 
 
+@pytest.mark.parametrize("delta", [0.7, 0.05])
+def test_cell_index_is_scalar_deinterleave(delta):
+    """The scalar cell lookup the search uses agrees with the array one."""
+    g = Z.Grid.from_bounds(0.0, 0.0, 10.0, 7.0, delta=delta)
+    zs = np.arange(4**g.bits)
+    ix, iy = Z.deinterleave(zs, g.bits)
+    assert [g.cell_index(int(z)) for z in zs] == list(zip(ix.tolist(), iy.tolist()))
+
+
 def test_cell_rect_contains_point():
     g = Z.Grid.from_bounds(-3, 2, 5, 10, delta=0.7)
     rng = np.random.default_rng(0)

@@ -45,6 +45,13 @@ def topk_dists_equal(got, exp, tol=1e-9) -> bool:
     return all(abs(g[0] - e[0]) <= tol for g, e in zip(got, exp))
 
 
+def assert_same_topk(got, exp, tol=1e-9) -> None:
+    """Same ids in the same order, the first k by ``(dist, tid)``, with
+    distances within ``tol``."""
+    assert [t for _, t in got] == [t for _, t in exp]
+    assert all(abs(g[0] - e[0]) <= tol for g, e in zip(got, exp))
+
+
 def assert_exact_ids(index, trajs, queries, k, measure) -> None:
     """Each answer's ids are the first k by ``(dist, tid)`` of brute force,
     and every pack reported a local search time."""
@@ -74,8 +81,11 @@ def trie_nodes(trie) -> list[SimpleNamespace]:
     ``hr``, ``refpoint``, ``rect``, ``children`` (``{z: record}`` in
     insertion order) and ``leaf`` (``None`` or a record with ``tids``,
     ``dmax`` and ``hr``). Nodes inside a chain get their depth and max
-    suffix counted back from the chain's end, and the chain's HR.
+    suffix counted back from the chain's end, and the chain's HR; its
+    reference point and rectangle are its cell's, from the trie's grid.
     """
+    refpts = trie.grid.refpoints_of_z(trie.zs)
+    rects = trie.grid.cell_rects_of_z(trie.zs)
 
     def leaf(e):
         lf = int(trie.leaf[e])
@@ -106,8 +116,8 @@ def trie_nodes(trie) -> list[SimpleNamespace]:
                 depth=int(trie.depth[e]) - up,
                 max_suffix=int(trie.max_suffix[e]) + up,
                 hr=trie.hr[e],
-                refpoint=trie.refpts[j],
-                rect=trie.rects[j],
+                refpoint=refpts[j],
+                rect=rects[j],
                 children={},
                 leaf=leaf(e) if up == 0 else None,
             )
