@@ -101,12 +101,11 @@ class Dft(ThetaTopK):
         gap: tuple[float, float] | None = None,
         sample_pool: int = 200,
         seed: int = 0,
-        **_,
     ):
         super().__init__(
             spark,
             traj_df,
-            lambda pid, trajs, c: DftPack(pid, trajs, c),
+            DftPack,
             measure=measure,
             eps=eps,
             gap=gap,

@@ -195,14 +195,13 @@ class Dita(ThetaTopK):
         gap: tuple[float, float] | None = None,
         sample_pool: int = 200,
         seed: int = 0,
-        **_,
     ):
         if measure not in SUPPORTED:
             raise ValueError(f"DITA does not support {measure!r} (paper Table IV)")
         super().__init__(
             spark,
             traj_df,
-            lambda pid, trajs, c: DitaPack(pid, trajs, c),
+            DitaPack,
             measure=measure,
             eps=eps,
             gap=gap,

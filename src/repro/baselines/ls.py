@@ -45,13 +45,12 @@ class Ls(DistributedTopK):
         strategy: str = "random",
         eps: float | None = None,
         gap: tuple[float, float] | None = None,
-        **_,
     ):
         cfg = {"measure": measure, "eps": eps, "gap": gap}
         super().__init__(
             spark,
             traj_df,
-            lambda pid, trajs, c: LsPack(pid, trajs, c),
+            LsPack,
             n_partitions=n_partitions,
             strategy=strategy,
             config=cfg,

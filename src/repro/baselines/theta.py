@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from repro.core.measures import get_measure
+from repro.core.search import check_k
 from repro.dist.framework import DistributedTopK, sample_trajectories
 
 _C = 5  # partition pruning parameter C (paper §VII-A: C = 5)
@@ -59,6 +60,7 @@ class ThetaTopK(DistributedTopK):
         return {"theta": theta}
 
     def query(self, qpts, k, *, ctx=None, seed: int = 0):
+        check_k(k)  # before θ is estimated from the k-th sampled distance
         t0 = time.perf_counter()
         q = np.asarray(qpts, float)
         theta = self.estimate_theta(q, k, seed=seed)

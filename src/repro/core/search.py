@@ -435,6 +435,12 @@ class SearchStats:
         self.pushed = 0
 
 
+def check_k(k: int) -> None:
+    """A top-k needs ``k >= 1``; raise ``ValueError`` otherwise."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
 class TopK:
     """The first ``k`` ``(dist, tid)`` below a threshold.
 
@@ -447,6 +453,7 @@ class TopK:
     __slots__ = ("k", "heap", "dist", "tid")
 
     def __init__(self, k: int, seed: float | tuple[float, int] = math.inf):
+        check_k(k)
         self.k = k
         self.heap: list[tuple[float, int]] = []  # max-heap of (−dist, −tid)
         self.dist, self.tid = seed if isinstance(seed, tuple) else (seed, -math.inf)

@@ -56,6 +56,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.partition import assign_partitions, dataset_bounds
+from repro.core.search import check_k
 
 
 class LocalPack:
@@ -212,6 +213,7 @@ class DistributedTopK:
         what determines stage latency on a real cluster, without the fixed
         local-mode RPC floor.
         """
+        check_k(k)
         t0 = time.perf_counter()
         ctx = dict(ctx or {})
         q = np.asarray(qpts, dtype=float)

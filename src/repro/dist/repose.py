@@ -11,7 +11,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.measures import METRICS, ORDER_INDEPENDENT, get_measure
 from repro.core.pivots import query_pivot_dists, select_pivots
 from repro.core.rptrie import RPTrie
-from repro.core.search import search_topk
+from repro.core.search import check_k, search_topk
 from repro.core.succinct import trie_size_bytes
 from repro.core.zorder import Grid
 from repro.dist.framework import DistributedTopK, LocalPack, sample_trajectories
@@ -113,7 +113,7 @@ class Repose(DistributedTopK):
         super().__init__(
             spark,
             traj_df,
-            lambda pid, trajs, c: ReposePack(pid, trajs, c),
+            ReposePack,
             n_partitions=n_partitions,
             strategy=strategy,
             config=cfg,
@@ -124,6 +124,7 @@ class Repose(DistributedTopK):
     def query(self, qpts, k, *, ctx=None):
         """Distributed top-k; the query-to-pivot distances d_qp (§IV-D)
         are computed once here and shipped to every pack in ``ctx``."""
+        check_k(k)
         t0 = time.perf_counter()
         q = np.asarray(qpts, float)
         ctx = dict(ctx or {})

@@ -10,7 +10,7 @@ from repro.baselines.dft import Dft, DftPack
 from repro.baselines.dita import Dita, representative
 from repro.baselines.ls import Ls
 from repro.core.search import brute_force_topk
-from tests.util import assert_exact_ids, assert_packs_per_task, topk_dists_equal
+from tests.util import assert_exact_ids, assert_packs_per_task, assert_same_topk
 
 NP = 4
 
@@ -23,7 +23,7 @@ def test_ls_exact(spark, tdrive_smoke, tdrive_trajs, tdrive_queries, measure):
     for _, q in tdrive_queries[:2]:
         got = ls.query(q, 10)
         exp = brute_force_topk(tdrive_trajs, q, 10, measure=measure)
-        assert topk_dists_equal(got, exp)
+        assert_same_topk(got, exp)
     assert ls.index_bytes == 0  # "/" cell in Table IV
     ls.unpersist()
 
@@ -41,6 +41,12 @@ def test_ls_several_packs_per_task(spark, tdrive_smoke, tdrive_trajs, tdrive_que
     ls.unpersist()
 
 
+def test_ls_rejects_unknown_keyword(spark, tdrive_smoke):
+    """A misspelt keyword is an error, not silently ignored."""
+    with pytest.raises(TypeError):
+        Ls(spark, tdrive_smoke, n_pivot=3)
+
+
 # ---------------------------------------------------------------------- DFT
 
 @pytest.fixture(scope="module")
@@ -53,7 +59,7 @@ def test_dft_exact_hausdorff(dft_hausdorff, tdrive_trajs, tdrive_queries, k):
     for qi, (_, q) in enumerate(tdrive_queries):
         got = dft_hausdorff.query(q, k, seed=qi)
         exp = brute_force_topk(tdrive_trajs, q, k, measure="hausdorff")
-        assert topk_dists_equal(got, exp)
+        assert_same_topk(got, exp)
 
 
 @pytest.mark.parametrize("measure", ["frechet", "dtw"])
@@ -62,7 +68,7 @@ def test_dft_exact_other_measures(spark, tdrive_smoke, tdrive_trajs, tdrive_quer
     _, q = tdrive_queries[0]
     got = dft.query(q, 8)
     exp = brute_force_topk(tdrive_trajs, q, 8, measure=measure)
-    assert topk_dists_equal(got, exp)
+    assert_same_topk(got, exp)
     dft.unpersist()
 
 
@@ -83,7 +89,7 @@ def test_dft_heterogeneous_exact(spark, tdrive_smoke, tdrive_trajs, tdrive_queri
     _, q = tdrive_queries[1]
     got = dft.query(q, 10)
     exp = brute_force_topk(tdrive_trajs, q, 10, measure="hausdorff")
-    assert topk_dists_equal(got, exp)
+    assert_same_topk(got, exp)
     dft.unpersist()
 
 
@@ -112,7 +118,7 @@ def test_dita_exact_frechet(dita_frechet, tdrive_trajs, tdrive_queries, k):
     for qi, (_, q) in enumerate(tdrive_queries):
         got = dita_frechet.query(q, k, seed=qi)
         exp = brute_force_topk(tdrive_trajs, q, k, measure="frechet")
-        assert topk_dists_equal(got, exp)
+        assert_same_topk(got, exp)
 
 
 def test_dita_exact_dtw(spark, tdrive_smoke, tdrive_trajs, tdrive_queries):
@@ -120,7 +126,7 @@ def test_dita_exact_dtw(spark, tdrive_smoke, tdrive_trajs, tdrive_queries):
     _, q = tdrive_queries[0]
     got = dita.query(q, 8)
     exp = brute_force_topk(tdrive_trajs, q, 8, measure="dtw")
-    assert topk_dists_equal(got, exp)
+    assert_same_topk(got, exp)
     dita.unpersist()
 
 
@@ -137,7 +143,7 @@ def test_dita_heterogeneous_exact(spark, tdrive_smoke, tdrive_trajs, tdrive_quer
     _, q = tdrive_queries[1]
     got = dita.query(q, 10)
     exp = brute_force_topk(tdrive_trajs, q, 10, measure="frechet")
-    assert topk_dists_equal(got, exp)
+    assert_same_topk(got, exp)
     dita.unpersist()
 
 
@@ -175,7 +181,7 @@ def test_dita_global_pruning_skips_far_partitions(spark):
     ]
     got = dita.query(q, k)
     exp = brute_force_topk(trajs, q, k, measure="frechet")
-    assert topk_dists_equal(got, exp)
+    assert_same_topk(got, exp)
     assert got[0][0] == pytest.approx(0.0, abs=1e-12)  # query is in the data
     assert len(skip) >= 1  # far groups' partitions are pruned
     dita.unpersist()

@@ -1,17 +1,19 @@
 """Global partitioning tests (§V-A/B): strategy semantics, balance, the
 cluster-spreading property that distinguishes heterogeneous from
-homogeneous, and the geohash granularity loop."""
+homogeneous, the granularity loop, and the cluster keys it counts."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
-import pyspark.sql.functions as F
 
 from repro.core.partition import (
-    assign_partitions, cluster_trajectories, dataset_bounds,
+    TRIALS, _stable_hash64, assign_partitions, cluster_keys,
+    cluster_trajectories, dataset_bounds,
 )
+from repro.core.zorder import interleave
 
 P = 4
+BOUNDS = (0.0, 0.0, 10.0, 10.0)
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +99,13 @@ def test_heterogeneous_deterministic(grouped_df):
     assert a == b
 
 
-def test_unknown_strategy(grouped_df):
-    with pytest.raises(ValueError):
+def test_unknown_strategy(spark, grouped_df):
+    """An unknown strategy is refused before any Spark job runs."""
+    tracker = spark.sparkContext.statusTracker()
+    jobs = set(tracker.getJobIdsForGroup(None))
+    with pytest.raises(ValueError, match="unknown strategy"):
         assign_partitions(grouped_df, P, "bogus")
+    assert set(tracker.getJobIdsForGroup(None)) == jobs
 
 
 def test_cluster_granularity_loop(grouped_df):
@@ -115,12 +121,93 @@ def test_cluster_granularity_loop(grouped_df):
 
 
 def test_cluster_key_modes(grouped_df):
+    """Each row's cluster is its ``cluster_keys`` key at the chosen bits."""
+    bounds = dataset_bounds(grouped_df)
     for mode in ("traj", "first", "centroid"):
-        clustered, _, n = cluster_trajectories(grouped_df, 8, key_mode=mode)
+        clustered, bits, n = cluster_trajectories(grouped_df, 8, key_mode=mode)
         assert n <= 8
-        assert clustered.count() == 32
+        rows = clustered.collect()
+        assert len(rows) == 32
+        for r in rows:
+            assert r.cluster == cluster_keys(r.xs, r.ys, bounds, mode)[TRIALS.index(bits)]
 
 
 def test_partition_count_one(grouped_df):
     out = assign_partitions(grouped_df, 1, "heterogeneous")
     assert set(pid_map(out).values()) == {0}
+
+
+# ------------------------------------------------------------- cluster keys
+
+def direct_key(xs, ys, bounds, bits):
+    """The cluster key computed at ``bits`` itself: the points' cells at
+    that granularity, clipped into the grid, their z-order codes with
+    consecutive duplicates removed, hashed."""
+    minx, miny, maxx, maxy = bounds
+    n = 1 << bits
+    ix = np.clip(((np.asarray(xs) - minx) / ((maxx - minx) or 1.0) * n).astype(np.int64), 0, n - 1)
+    iy = np.clip(((np.asarray(ys) - miny) / ((maxy - miny) or 1.0) * n).astype(np.int64), 0, n - 1)
+    codes = interleave(ix, iy, bits)
+    codes = codes[np.concatenate([[True], codes[1:] != codes[:-1]])]
+    return _stable_hash64(codes.tobytes())
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [BOUNDS, (-3.0, 2.0, 7.5, 2.0), (4.0, -1.0, 4.0, 6.0), (3.0, 3.0, 3.0, 3.0)],
+    ids=["square", "zero_height", "zero_width", "point"],
+)
+def test_keys_are_shifts_of_the_finest(bounds):
+    """Prefix property: the key at every granularity, derived by shifting
+    the finest codes, equals the key computed at that granularity, for
+    points inside and outside the bounds and for every key mode."""
+    rng = np.random.default_rng(1)
+    minx, miny, maxx, maxy = bounds
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        xs = rng.uniform(minx - 3, maxx + 3, n)
+        ys = rng.uniform(miny - 3, maxy + 3, n)
+        points = {
+            "traj": (xs, ys),
+            "first": (xs[:1], ys[:1]),
+            "centroid": ([xs.mean()], [ys.mean()]),
+        }
+        for mode, (px, py) in points.items():
+            got = cluster_keys(xs, ys, bounds, mode)
+            assert got == [direct_key(px, py, bounds, bits) for bits in TRIALS]
+
+
+def test_keys_deterministic_and_ranged():
+    rng = np.random.default_rng(0)
+    xs, ys = rng.uniform(0, 10, 100), rng.uniform(0, 10, 100)
+    keys = cluster_keys(xs, ys, BOUNDS)
+    assert keys == cluster_keys(xs.copy(), ys.copy(), BOUNDS)
+    assert len(keys) == len(TRIALS)
+    assert all(0 <= k < 2**63 for k in keys)
+
+
+def test_keys_clip_points_outside_the_bounds():
+    """A point outside the bounds falls into the nearest edge cell."""
+    xs, ys = np.array([-99.0, 5.0, 99.0]), np.array([5.0, 120.0, -3.0])
+    assert cluster_keys(xs, ys, BOUNDS) == cluster_keys(
+        np.clip(xs, 0, 10), np.clip(ys, 0, 10), BOUNDS
+    )
+
+
+def test_keys_near_points_share_cells_far_points_do_not():
+    """5.0 and 5.001 share a cell up to 12 bits per axis (cell side
+    10/4096), not at 14; 1.0 and 9.0 differ at every granularity."""
+    a, b = cluster_keys([5.0], [5.0], BOUNDS), cluster_keys([5.001], [5.001], BOUNDS)
+    assert TRIALS[0] == 14
+    assert a[0] != b[0] and a[1:] == b[1:]
+    far = cluster_keys([1.0], [1.0], BOUNDS), cluster_keys([9.0], [9.0], BOUNDS)
+    assert all(x != y for x, y in zip(*far))
+
+
+def test_keys_degenerate_bounds():
+    """Zero-size bounds, as data of one repeated point has: the points
+    share one cell, so a trajectory's keys are a single point's."""
+    point = (3.0, 3.0, 3.0, 3.0)
+    keys = cluster_keys([3.0, 3.0, 3.0], [3.0, 3.0, 3.0], point)
+    assert len(keys) == len(TRIALS)
+    assert keys == cluster_keys([3.0], [3.0], point)

@@ -9,18 +9,27 @@ import sys
 import weakref
 import zipfile
 import zipimport
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.core.search import brute_force_topk
+from repro.baselines.dft import Dft
+from repro.baselines.dita import Dita
+from repro.baselines.ls import Ls
+from repro.core.measures import get_measure
+from repro.core.rptrie import RPTrie
+from repro.core.search import brute_force_topk, scan_topk, search_topk
+from repro.core.zorder import Grid
 from repro.dist.framework import drop_zip_finders
 from repro.dist.repose import Repose
 from tests.util import (
     MEASURE_PARAMS,
     assert_exact_ids,
     assert_packs_per_task,
-    topk_dists_equal,
+    assert_same_topk,
+    rnd_dataset,
+    rnd_query,
 )
 
 DELTA = 0.15
@@ -46,7 +55,7 @@ def test_hausdorff_exact(repose_hausdorff, tdrive_trajs, tdrive_queries, k):
     for _, q in tdrive_queries:
         got = repose_hausdorff.query(q, k)
         exp = brute_force_topk(tdrive_trajs, q, k, measure="hausdorff")
-        assert topk_dists_equal(got, exp)
+        assert_same_topk(got, exp)
 
 
 @pytest.mark.parametrize("k", [1, 10])
@@ -54,7 +63,7 @@ def test_frechet_exact(repose_frechet, tdrive_trajs, tdrive_queries, k):
     for _, q in tdrive_queries:
         got = repose_frechet.query(q, k)
         exp = brute_force_topk(tdrive_trajs, q, k, measure="frechet")
-        assert topk_dists_equal(got, exp)
+        assert_same_topk(got, exp)
 
 
 @pytest.mark.parametrize("measure", ["dtw", "erp", "edr", "lcss"])
@@ -71,7 +80,7 @@ def test_other_measures_exact(spark, tdrive_smoke, tdrive_trajs, tdrive_queries,
         tdrive_trajs, q, 8, measure=measure,
         eps=kw.get("eps"), gap=rep.config.get("gap"),
     )
-    assert topk_dists_equal(got, exp)
+    assert_same_topk(got, exp)
     rep.unpersist()
 
 
@@ -84,7 +93,7 @@ def test_all_strategies_exact(spark, tdrive_smoke, tdrive_trajs, tdrive_queries,
     _, q = tdrive_queries[1]
     got = rep.query(q, 10)
     exp = brute_force_topk(tdrive_trajs, q, 10, measure="hausdorff")
-    assert topk_dists_equal(got, exp)
+    assert_same_topk(got, exp)
     rep.unpersist()
 
 
@@ -98,6 +107,41 @@ def test_k_larger_than_dataset(repose_hausdorff, tdrive_trajs, tdrive_queries):
     _, q = tdrive_queries[0]
     got = repose_hausdorff.query(q, len(tdrive_trajs) + 10)
     assert len(got) == len(tdrive_trajs)
+
+
+@pytest.fixture(scope="module")
+def baselines(spark, tdrive_smoke):
+    systems = {
+        "ls": Ls(spark, tdrive_smoke, n_partitions=NP),
+        "dft": Dft(spark, tdrive_smoke, n_partitions=NP),
+        "dita": Dita(spark, tdrive_smoke, n_partitions=NP),
+    }
+    yield systems
+    for index in systems.values():
+        index.unpersist()
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("system", ["search_topk", "scan_topk", "repose", "ls", "dft", "dita"])
+def test_k_below_one_rejected(spark, request, system, k):
+    """k < 1 is a ValueError: from the local searches, and from every
+    system's query before it runs a Spark job (DFT/DITA: before θ)."""
+    data, q, fn = rnd_dataset(0, 30), rnd_query(0), get_measure("hausdorff")
+    if system == "search_topk":
+        trie = RPTrie(Grid.from_bounds(-5, -5, 15, 15, delta=0.8), fn, [])
+        trie.build(list(data.items()), mode="basic")
+        run = partial(search_topk, trie, data, q, k, measure="hausdorff")
+    elif system == "scan_topk":
+        run = partial(scan_topk, fn, data.items(), q, k)
+    elif system == "repose":
+        run = partial(request.getfixturevalue("repose_hausdorff").query, q, k)
+    else:
+        run = partial(request.getfixturevalue("baselines")[system].query, q, k)
+    tracker = spark.sparkContext.statusTracker()
+    jobs = set(tracker.getJobIdsForGroup(None))
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        run()
+    assert set(tracker.getJobIdsForGroup(None)) == jobs
 
 
 def test_build_stats(repose_hausdorff, tdrive_trajs):
@@ -175,7 +219,7 @@ def test_trie_mode_opt_fewer_nodes(spark, tdrive_smoke):
     )
     assert opt.total_trie_nodes < dedup.total_trie_nodes
     q = np.array([[116.5, 39.8], [116.6, 39.9], [116.7, 40.0]])
-    assert topk_dists_equal(opt.query(q, 10), dedup.query(q, 10))
+    assert_same_topk(opt.query(q, 10), dedup.query(q, 10))
     opt.unpersist()
     dedup.unpersist()
 

@@ -21,7 +21,7 @@ from repro.core.rptrie import RPTrie
 from repro.core.search import SearchStats, brute_force_topk, search_topk
 from repro.core.succinct import decode_structure, encode_trie, trie_shape
 from repro.core.zorder import Grid
-from tests.util import ALL, MEASURE_PARAMS, rnd_dataset, rnd_query, topk_dists_equal
+from tests.util import ALL, MEASURE_PARAMS, assert_same_topk, rnd_dataset, rnd_query
 
 GRID = Grid.from_bounds(-5, -5, 15, 15, delta=0.8)
 DATA = rnd_dataset(1, 120)
@@ -74,7 +74,7 @@ def test_pickle_roundtrip_every_engine(measure):
     for q in queries:
         got, _ = search(copy, DATA, q, measure)
         exp = brute_force_topk(DATA.items(), q, 5, measure=measure, **MEASURE_PARAMS[measure])
-        assert topk_dists_equal(got, exp)
+        assert_same_topk(got, exp)
 
 
 # ------------------------------------------------------------ a deep trie
@@ -113,4 +113,4 @@ def test_deep_trie_needs_no_recursion(mode, recursion_limit_1000):
     assert_copy_is_same_trie(trie, data, queries)
     for q in queries:
         got, _ = search(trie, data, q, k=2)
-        assert topk_dists_equal(got, brute_force_topk(data.items(), q, 2, measure="hausdorff"))
+        assert_same_topk(got, brute_force_topk(data.items(), q, 2, measure="hausdorff"))

@@ -38,13 +38,6 @@ def rnd_query(seed: int, n: int = 12) -> np.ndarray:
     return rnd_traj(np.random.default_rng(seed + 10_000), n)
 
 
-def topk_dists_equal(got, exp, tol=1e-9) -> bool:
-    """Compare two [(dist, tid)] lists by distance multiset (tie-safe)."""
-    if len(got) != len(exp):
-        return False
-    return all(abs(g[0] - e[0]) <= tol for g, e in zip(got, exp))
-
-
 def assert_same_topk(got, exp, tol=1e-9) -> None:
     """Same ids in the same order, the first k by ``(dist, tid)``, with
     distances within ``tol``."""
