@@ -213,13 +213,14 @@ class Dita(ThetaTopK):
             key_mode="first",
         )
 
-    def query_ctx(self, qpts, theta):
+    def query_ctx(self, qpts, k, seed=0):
         # global index: prune partitions whose first-point MBR is farther
         # than θ from the query's first point
-        skip = frozenset(
+        ctx = super().query_ctx(qpts, k, seed=seed)
+        ctx["skip"] = frozenset(
             s["pid"]
             for s in self.summaries
             if s.get("first_mbr") is not None
-            and _mbr_dist_point(qpts[0], np.asarray(s["first_mbr"])) > theta
+            and _mbr_dist_point(qpts[0], np.asarray(s["first_mbr"])) > ctx["theta"]
         )
-        return {"theta": theta, "skip": skip}
+        return ctx

@@ -21,13 +21,11 @@ class LsPack(LocalPack):
     def __init__(self, pid, trajs, cfg):
         t0 = time.perf_counter()
         self.trajs = list(trajs)
-        self.measure = cfg["measure"]
-        self.params = {"eps": cfg.get("eps"), "gap": cfg.get("gap")}
+        self.fn = get_measure(cfg["measure"], eps=cfg.get("eps"), gap=cfg.get("gap"))
         super().__init__(pid, len(trajs), time.perf_counter() - t0, 0)
 
     def search(self, qpts, k, ctx, kth):
-        fn = get_measure(self.measure, **self.params)
-        return scan_topk(fn, self.trajs, qpts, k, d_k=kth)
+        return scan_topk(self.fn, self.trajs, qpts, k, d_k=kth)
 
 
 class Ls(DistributedTopK):

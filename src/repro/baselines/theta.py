@@ -8,12 +8,9 @@ then prunes against θ, which is never below the true k-th distance.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.measures import get_measure
-from repro.core.search import check_k
 from repro.dist.framework import DistributedTopK, sample_trajectories
 
 _C = 5  # partition pruning parameter C (paper §VII-A: C = 5)
@@ -56,14 +53,5 @@ class ThetaTopK(DistributedTopK):
         dists = sorted(self.fn(qpts, self.pool[i][1]) for i in idx)
         return float(dists[min(k, n) - 1]) * (1.0 + 1e-9) + 1e-12  # strict-< guard
 
-    def query_ctx(self, qpts: np.ndarray, theta: float) -> dict:
-        return {"theta": theta}
-
-    def query(self, qpts, k, *, ctx=None, seed: int = 0):
-        check_k(k)  # before θ is estimated from the k-th sampled distance
-        t0 = time.perf_counter()
-        q = np.asarray(qpts, float)
-        theta = self.estimate_theta(q, k, seed=seed)
-        out = super().query(q, k, ctx=self.query_ctx(q, theta))
-        self.last_query_time = time.perf_counter() - t0
-        return out
+    def query_ctx(self, qpts: np.ndarray, k: int, seed: int = 0) -> dict:
+        return {"theta": self.estimate_theta(qpts, k, seed=seed)}

@@ -9,17 +9,29 @@ Hausdorff/Frechet/ERP are metrics (pivot pruning applies, ``METRICS``);
 Hausdorff is additionally order-independent (``ORDER_INDEPENDENT``), which
 enables the z-value re-arrangement trie optimization (§III-C).
 
+Each DP measure has one column step (``frechet_step``, ``dtw_step``,
+``erp_step``, ``edr_step``, ``lcss_step``): the previous DP column, its
+boundary entry first, and one new point's costs give the next column.
+The kernels below run it once per point of the first trajectory, and the
+CompLB engines of ``search`` once per reference point of a trie node, so
+a lower bound and its exact distance share one recurrence. Steps work on
+Python lists: per-element access costs less there than on numpy arrays.
+Each step has a fixed cost besides, so the symmetric kernels without a
+bound (Frechet, DTW, ERP; the build's pivot and ``D_max`` distances to
+short reference trajectories) put the shorter trajectory first.
+
 Every kernel takes an optional keyword ``bound``, for the cascade of the
 UCR suite (Rakthanmanon et al., KDD 2012). It returns the exact distance
 when that distance is ≤ ``bound``, and some value above ``bound``
 otherwise: first a lower bound read off the point-distance matrix in a
-few numpy calls, then a DP that stops once a whole row is above
+few numpy calls, then a DP that stops once a whole column is above
 ``bound``. Without a bound a kernel computes the full distance.
 """
 from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -50,80 +62,142 @@ def hausdorff(a: np.ndarray, b: np.ndarray, *, bound: float = math.inf) -> float
     return float(max(h, d.min(0).max()))
 
 
-def _rowwise_dp(d: list[list[float]], kind: str, bound: float) -> float:
-    """Shared discrete-Frechet / DTW dynamic program over a cost matrix.
+def frechet_step(prev: list, cost: list) -> list:
+    """The discrete-Frechet DP column after one more point (Eq. 9).
 
-    ``d`` is a Python list-of-lists (scalar indexing on lists is ~3x
-    faster than on numpy arrays). ``kind`` is "frechet" (max of matched
-    costs under a monotone coupling) or "dtw" (sum). Every coupling
-    crosses every row and never decreases along the way, so once a row's
-    minimum is above ``bound`` that minimum is returned.
+    ``prev`` is the column over the other trajectory's points, boundary
+    entry first; ``cost`` holds the new point's distance to each of them.
+    An entry is the largest cost on the best monotone coupling so far.
     """
-    m, n = len(d), len(d[0])
+    left = math.inf
+    cur = [left]
+    for diag, up, c in zip(prev, prev[1:], cost):
+        if up < diag:
+            diag = up
+        if left < diag:
+            diag = left
+        left = c if c > diag else diag
+        cur.append(left)
+    return cur
+
+
+def dtw_step(prev: list, cost: list) -> list:
+    """The DTW DP column after one more point (Eqs. 12, 15): as
+    ``frechet_step``, with the costs on the best warping path summed."""
+    left = math.inf
+    cur = [left]
+    for diag, up, c in zip(prev, prev[1:], cost):
+        if up < diag:
+            diag = up
+        if left < diag:
+            diag = left
+        left = c + diag
+        cur.append(left)
+    return cur
+
+
+def warp_start(n: int) -> list:
+    """The Frechet/DTW column before any point: only the corner is
+    reached, so the first step yields the running max (sum) of costs."""
+    return [0.0] + [math.inf] * n
+
+
+def erp_step(prev: list, cost: list, gap: float, gaps: list) -> list:
+    """The ERP DP column after one more point: the cheapest of matching
+    it (``cost``), gapping it (``gap``, its distance to the gap point) and
+    gapping the column's point (``gaps``)."""
+    left = prev[0] + gap
+    cur = [left]
+    for diag, up, c, g in zip(prev, prev[1:], cost, gaps):
+        diag += c
+        up += gap
+        if up < diag:
+            diag = up
+        left += g
+        if diag < left:
+            left = diag
+        cur.append(left)
+    return cur
+
+
+def edr_step(prev: list, sub: list) -> list:
+    """The EDR DP column after one more point: ``sub`` is 0 where it
+    matches the column's point and 1 where not; a gap costs 1."""
+    left = prev[0] + 1.0
+    cur = [left]
+    for diag, up, s in zip(prev, prev[1:], sub):
+        diag += s
+        up += 1.0
+        if up < diag:
+            diag = up
+        left += 1.0
+        if diag < left:
+            left = diag
+        cur.append(left)
+    return cur
+
+
+def edit_start(gaps) -> list:
+    """The ERP/EDR column before any point: every point so far gapped."""
+    return list(accumulate(gaps, initial=0.0))
+
+
+def lcss_step(prev: list, hit: list) -> list:
+    """The LCSS DP column after one more point: the longest common
+    subsequence, ``hit`` flagging the column's points it matches."""
+    left = 0.0
+    cur = [left]
+    for diag, up, h in zip(prev, prev[1:], hit):
+        if h:
+            left = diag + 1.0
+        elif up > left:
+            left = up
+        cur.append(left)
+    return cur
+
+
+def _abandoning(step, col: list, rows, bound: float) -> float:
+    """``col`` advanced by ``step(col, *args)`` for each ``args`` in
+    ``rows``: its last entry, or a column's minimum once that is above
+    ``bound``. Every alignment crosses every column, and no entry is
+    below the smallest of the column before, so that minimum is a lower
+    bound on the distance."""
     cut = bound < math.inf
-    prev = [0.0] * n
-    row0 = d[0]
-    if kind == "frechet":
-        acc = row0[0]
-        for j in range(n):
-            acc = max(acc, row0[j]) if j else row0[0]
-            prev[j] = acc
-        for i in range(1, m):
-            di = d[i]
-            cur = [0.0] * n
-            cur[0] = max(di[0], prev[0])
-            for j in range(1, n):
-                best = prev[j - 1]
-                if prev[j] < best:
-                    best = prev[j]
-                if cur[j - 1] < best:
-                    best = cur[j - 1]
-                cur[j] = di[j] if di[j] > best else best
-            prev = cur
-            if cut and min(cur) > bound:
-                return float(min(cur))
-    else:  # dtw
-        acc = 0.0
-        for j in range(n):
-            acc += row0[j]
-            prev[j] = acc
-        for i in range(1, m):
-            di = d[i]
-            cur = [0.0] * n
-            cur[0] = di[0] + prev[0]
-            for j in range(1, n):
-                best = prev[j - 1]
-                if prev[j] < best:
-                    best = prev[j]
-                if cur[j - 1] < best:
-                    best = cur[j - 1]
-                cur[j] = di[j] + best
-            prev = cur
-            if cut and min(cur) > bound:
-                return float(min(cur))
-    return float(prev[-1])
+    for args in rows:
+        col = step(col, *args)
+        if cut:
+            low = min(col)
+            if low > bound:
+                return low
+    return col[-1]
 
 
 def frechet(a: np.ndarray, b: np.ndarray, *, bound: float = math.inf) -> float:
     """Discrete Frechet distance (paper Eq. 6)."""
+    if bound == math.inf and len(a) > len(b):
+        return frechet(b, a)  # the same value, in fewer and longer columns
     d = pair_dists(a, b)
     if bound < math.inf:
         # every coupling holds both end pairs and meets every row and column
         lb = max(d[0, 0], d[-1, -1], d.min(1).max(), d.min(0).max())
         if lb > bound:
             return float(lb)
-    return _rowwise_dp(d.tolist(), "frechet", bound)
+    first, *rest = d.tolist()
+    return _abandoning(frechet_step, frechet_step(warp_start(len(b)), first), zip(rest), bound)
 
 
 def dtw(a: np.ndarray, b: np.ndarray, *, bound: float = math.inf) -> float:
     """Dynamic time warping distance (paper Eq. 12)."""
+    if bound == math.inf and len(a) > len(b):
+        return dtw(b, a)  # the same value, in fewer and longer columns
     d = pair_dists(a, b)
     if bound < math.inf:
         # every warping path pays at least one cell per row and per column
         lb = max(d.min(1).sum(), d.min(0).sum())
         if lb * (1.0 - _SUM_SLACK) > bound:
             return float(lb)
-    return _rowwise_dp(d.tolist(), "dtw", bound)
+    first, *rest = d.tolist()
+    return _abandoning(dtw_step, dtw_step(warp_start(len(b)), first), zip(rest), bound)
 
 
 def erp(
@@ -138,38 +212,20 @@ def erp(
     Matching q_i↔p_j costs d(q_i, p_j); gapping a point costs its distance
     to the fixed gap point ``g``. ERP is a metric.
     """
+    if bound == math.inf and len(a) > len(b):
+        return erp(b, a, gap)  # the same value, in fewer and longer columns
     g = np.asarray(gap, dtype=float)
     ga = np.sqrt(((a - g) ** 2).sum(1))
     gb = np.sqrt(((b - g) ** 2).sum(1))
-    cut = bound < math.inf
-    if cut:
+    if bound < math.inf:
         # triangle inequality through the empty trajectory [Chen & Ng];
         # the margin scales with the sums, as their difference may cancel
         sa, sb = ga.sum(), gb.sum()
         if abs(sa - sb) - _SUM_SLACK * (sa + sb) > bound:
             return float(abs(sa - sb))
-    ga, gb = ga.tolist(), gb.tolist()
-    d = pair_dists(a, b).tolist()
-    m, n = len(a), len(b)
-    prev = [0.0] * (n + 1)
-    for j in range(1, n + 1):
-        prev[j] = prev[j - 1] + gb[j - 1]
-    for i in range(1, m + 1):
-        di = d[i - 1]
-        cur = [prev[0] + ga[i - 1]] + [0.0] * n
-        for j in range(1, n + 1):
-            best = prev[j - 1] + di[j - 1]      # match
-            v = prev[j] + ga[i - 1]             # gap q_i
-            if v < best:
-                best = v
-            v = cur[j - 1] + gb[j - 1]          # gap p_j
-            if v < best:
-                best = v
-            cur[j] = best
-        prev = cur
-        if cut and min(cur) > bound:
-            return float(min(cur))
-    return float(prev[-1])
+    gb = gb.tolist()
+    rows = zip(pair_dists(a, b).tolist(), ga.tolist(), repeat(gb))
+    return _abandoning(erp_step, edit_start(gb), rows, bound)
 
 
 def edr(a: np.ndarray, b: np.ndarray, eps: float, *, bound: float = math.inf) -> float:
@@ -180,30 +236,13 @@ def edr(a: np.ndarray, b: np.ndarray, eps: float, *, bound: float = math.inf) ->
     """
     match = pair_dists(a, b) <= eps
     m, n = len(a), len(b)
-    cut = bound < math.inf
-    if cut:
+    if bound < math.inf:
         # a point that matches nothing costs at least one edit
         lb = max(abs(m - n), m - int(match.any(1).sum()), n - int(match.any(0).sum()))
         if lb > bound:
             return float(lb)
-    match = match.tolist()
-    prev = list(range(n + 1))
-    for i in range(1, m + 1):
-        mi = match[i - 1]
-        cur = [i] + [0] * n
-        for j in range(1, n + 1):
-            best = prev[j - 1] + (0 if mi[j - 1] else 1)
-            v = prev[j] + 1
-            if v < best:
-                best = v
-            v = cur[j - 1] + 1
-            if v < best:
-                best = v
-            cur[j] = best
-        prev = cur
-        if cut and min(cur) > bound:
-            return float(min(cur))
-    return float(prev[-1])
+    rows = zip(np.where(match, 0.0, 1.0).tolist())
+    return _abandoning(edr_step, edit_start([1.0] * n), rows, bound)
 
 
 def lcss(a: np.ndarray, b: np.ndarray, eps: float, *, bound: float = math.inf) -> float:
@@ -220,23 +259,15 @@ def lcss(a: np.ndarray, b: np.ndarray, eps: float, *, bound: float = math.inf) -
         lb = 1.0 - min(int(match.any(1).sum()), int(match.any(0).sum())) / short
         if lb > bound:
             return lb
-    match = match.tolist()
-    prev = [0] * (n + 1)
-    for i in range(1, m + 1):
-        mi = match[i - 1]
-        cur = [0] * (n + 1)
-        for j in range(1, n + 1):
-            if mi[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = prev[j] if prev[j] >= cur[j - 1] else cur[j - 1]
-        prev = cur
+    col = [0.0] * (n + 1)
+    for i, hit in enumerate(match.tolist(), 1):
+        col = lcss_step(col, hit)
         if cut:
             # each of the m − i rows left adds at most one match
-            lb = 1.0 - min(max(cur) + m - i, short) / short
+            lb = 1.0 - min(max(col) + m - i, short) / short
             if lb > bound:
                 return lb
-    return float(1.0 - prev[-1] / short)
+    return 1.0 - col[-1] / short
 
 
 #: the kernels above, all of which take ``bound``

@@ -8,22 +8,26 @@ matrix:
 * Hausdorff — row minima ``r[0..m)`` and the column-max ``c_max``
   (Fig. 4); ``LB_o = max(c_max − √2δ/2, 0)`` (Eq. 2) and, on leaves,
   ``LB_t = max(max(max_i r_i, c_max) − D_max, 0)`` (Eq. 3).
-* Frechet — the last DP column ``f`` (Fig. 5, Eq. 9);
-  ``LB_o = max(c_min − √2δ/2, 0)`` (Eq. 7), ``LB_t`` from ``f_m,n``
-  (Eq. 8, tightened with the stored leaf ``D_max ≤ √2δ/2``).
-* DTW — the last DP column built from ``d'(q_i, cell_j)``, the min
-  distance from a query point to the *cell* (Eqs. 13–15); no √2δ/2
-  correction because ``d'`` already under-estimates.
-* ERP / EDR / LCSS — extensions per §VI closing paragraph: the same
-  column-DP machinery with optimistic (cell-based) costs; ERP is a
-  metric so pivot pruning also applies.
+* The DP measures — one column engine (``_ColumnEngine``): the state is
+  the measure's DP column over the query, advanced by the same column
+  step as its exact kernel (``measures.frechet_step`` and the rest), on
+  per-cell costs.
+  * Frechet (Fig. 5, Eq. 9) on distances to cell centres:
+    ``LB_o = max(c_min − √2δ/2, 0)`` (Eq. 7), ``LB_t`` from ``f_m,n``
+    (Eq. 8, tightened with the stored leaf ``D_max ≤ √2δ/2``).
+  * DTW (Eqs. 13–15) on ``d'(q_i, cell_j)``, the min distance from a
+    query point to the *cell*; no √2δ/2 correction because ``d'``
+    already under-estimates.
+  * ERP / EDR / LCSS — extensions per §VI closing paragraph, on the
+    same optimistic cell costs; ERP is a metric so pivot pruning also
+    applies, and LCSS bounds its match counts with the node's depth.
 
 Traversal reads the trie's flat arrays and is *path-compressed*: a heap
 entry is one chain of single-child nodes (frequent in the
 order-preserving tries, where consecutive points revisit cells), its
 position and its DP state, and a pop advances up to ``CHAIN_CHUNK``
-nodes in one call, with the column DP running on Python lists — the
-same representation as the exact kernels — and an early chain abort as
+nodes in one call, with the column DP running through the same step
+functions as the exact kernels, and an early chain abort as
 soon as the monotone column minimum crosses the current d_k. This is an
 implementation detail (DESIGN.md §3): bound values are exactly those of
 node-at-a-time traversal.
@@ -50,7 +54,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .measures import METRICS, bounded, get_measure
+from .measures import (
+    METRICS, bounded, dtw_step, edit_start, edr_step, erp_step, frechet_step,
+    get_measure, lcss_step, warp_start,
+)
 from .pivots import query_pivot_dists
 from .rptrie import RPTrie
 from .zorder import Grid, points_to_rect_dist
@@ -62,7 +69,8 @@ class _Columns(dict):
 
     The column holds one value per query point: its distance to the cell
     centre (Hausdorff, Frechet) or the optimistic ``d'`` to the cell
-    (DTW, ERP, EDR, LCSS), in whatever form the engine's DP reads. Lazy,
+    (DTW, ERP, EDR, LCSS), in whatever form the engine reads: a DP
+    engine's step takes it as its arguments after the DP column. Lazy,
     because a fine grid has ~10⁵ cells and a search reads few of them.
     """
 
@@ -134,52 +142,44 @@ class _HausdorffEngine:
         return max(max(float(r.max()), cmax) - dmax, 0.0)
 
 
-class _FrechetEngine:
-    """CompLB for discrete Frechet (Eqs. 7–9). State = last DP column."""
+class _ColumnEngine:
+    """CompLB for the DP measures (Algorithm 1): the state is the
+    measure's DP column over the query, boundary entry first, and each
+    reference point advances it by the measure's own step (``measures``).
 
-    def __init__(self, qpts: np.ndarray, grid: Grid):
-        self.m = len(qpts)
-        self.slack = grid.half_diag
-        self.cols = _Columns(lambda z: _centre_dists(qpts, grid, z).tolist())
+    The measures differ only in the fields. A column's minimum never
+    decreases as points are appended, so once it is above d_k + ``slack``
+    the chain's subtree is pruned (Eqs. 7, 13). ``slack`` is √2δ/2 where
+    the costs are to cell centres (Frechet), and 0 where they are the
+    optimistic ``d'`` to the cell, already a lower bound; for the same
+    reason only centre costs subtract the leaf's ``D_max`` from ``f_m,n``
+    (``leaf_dmax``, Eq. 8; DTW's Eq. 14 takes it as it is).
+    ``skip_repeats`` skips a z equal to the one before it, which leaves a
+    Frechet column as it is (a coupling may stay on a point).
+    """
+
+    def __init__(self, start, step, column, *, slack=0.0, leaf_dmax=False, skip_repeats=False):
+        self.start = start
+        self.step = step
+        self.cols = _Columns(column)
+        self.slack = slack
+        self.leaf_dmax = leaf_dmax
+        self.skip_repeats = skip_repeats
 
     def root_state(self):
-        return None  # no column yet
+        return self.start
 
     def advance(self, state, zs, dk):
-        f = state
-        m, cols = self.m, self.cols
+        f, step, cols, skip = state, self.step, self.cols, self.skip_repeats
         cut = dk + self.slack
         last = None
         for z in zs:
             if z == last:
-                # a repeated reference point leaves the Frechet column as
-                # it is (a coupling may stay on a point), so skip its DP
                 continue
-            last = z
-            d = cols[z]
-            nf = [0.0] * m
-            if f is None:
-                run = d[0]
-                nf[0] = run
-                for i in range(1, m):
-                    di = d[i]
-                    run = di if di > run else run
-                    nf[i] = run
-            else:
-                v, p0 = d[0], f[0]
-                nf[0] = v if v > p0 else p0
-                prev = f[0]  # f_{i-1, j-1}
-                for i in range(1, m):
-                    fi = f[i]
-                    best = prev if prev < fi else fi
-                    w = nf[i - 1]
-                    if w < best:
-                        best = w
-                    di = d[i]
-                    nf[i] = di if di > best else best
-                    prev = fi
-            f = nf
-            if min(f) > cut:  # c_min monotone ⇒ safe chain abort
+            if skip:
+                last = z
+            f = step(f, *cols[z])
+            if min(f) > cut:
                 return None
         return f
 
@@ -187,187 +187,21 @@ class _FrechetEngine:
         return max(min(state) - self.slack, 0.0)
 
     def leaf_lb(self, state, dmax: float, depth: int) -> float:
-        return max(float(state[-1]) - dmax, 0.0)
+        return max(state[-1] - dmax, 0.0) if self.leaf_dmax else state[-1]
 
 
-class _DtwEngine:
-    """CompLB for DTW (Eqs. 13–15) using cell distances d'."""
-
-    def __init__(self, qpts: np.ndarray, grid: Grid):
-        self.m = len(qpts)
-        self.cols = _Columns(lambda z: _cell_dists(qpts, grid, z).tolist())
-
-    def root_state(self):
-        return None
-
-    def advance(self, state, zs, dk):
-        f = state
-        m, cols = self.m, self.cols
-        for z in zs:
-            d = cols[z]
-            nf = [0.0] * m
-            if f is None:
-                acc = 0.0
-                for i in range(m):
-                    acc += d[i]
-                    nf[i] = acc
-            else:
-                nf[0] = d[0] + f[0]
-                prev = f[0]
-                for i in range(1, m):
-                    fi = f[i]
-                    best = prev if prev < fi else fi
-                    w = nf[i - 1]
-                    if w < best:
-                        best = w
-                    nf[i] = d[i] + best
-                    prev = fi
-            f = nf
-            if min(f) > dk:  # c_min (Eq. 13) monotone
-                return None
-        return f
-
-    def node_lb(self, state, depth: int, max_suffix: int) -> float:
-        return min(state)
-
-    def leaf_lb(self, state, dmax: float, depth: int) -> float:
-        return float(state[-1])  # f_{m,n}, Eq. 14
-
-
-class _ErpEngine:
-    """ERP extension: column DP with optimistic match/gap costs.
-
-    Matching q_i↔cell_j costs d'(q_i, cell_j) ≤ d(q_i, p_j); gapping the
-    data point costs d'(cell_j, g) ≤ d(p_j, g); gapping q_i costs the
-    exact d(q_i, g). State = column of length m+1 (incl. boundary row).
-    """
-
-    def __init__(self, qpts: np.ndarray, grid: Grid, gap=(0.0, 0.0)):
-        self.m = len(qpts)
-        g = np.asarray(gap, dtype=float)
-        self.ga = np.sqrt(((qpts - g) ** 2).sum(1)).tolist()
-
-        def column(z):
-            # the match costs, and d'(cell, g) for gapping the data point
-            rect = _cell_rect(grid, z)
-            dx = max(rect[0] - g[0], g[0] - rect[2], 0.0)
-            dy = max(rect[1] - g[1], g[1] - rect[3], 0.0)
-            return points_to_rect_dist(qpts, rect).tolist(), float(np.hypot(dx, dy))
-
-        self.cols = _Columns(column)
-
-    def root_state(self):
-        col = [0.0] * (self.m + 1)
-        acc = 0.0
-        for i, g in enumerate(self.ga):
-            acc += g
-            col[i + 1] = acc
-        return col
-
-    def advance(self, state, zs, dk):
-        f = state
-        m, ga, cols = self.m, self.ga, self.cols
-        for z in zs:
-            d, gp = cols[z]
-            nf = [0.0] * (m + 1)
-            nf[0] = f[0] + gp
-            for i in range(1, m + 1):
-                # E[i][j] = min(match, gap q_i, gap p_j)
-                best = f[i - 1] + d[i - 1]
-                v = nf[i - 1] + ga[i - 1]
-                if v < best:
-                    best = v
-                v = f[i] + gp
-                if v < best:
-                    best = v
-                nf[i] = best
-            f = nf
-            if min(f) > dk:
-                return None
-        return f
-
-    def node_lb(self, state, depth: int, max_suffix: int) -> float:
-        return min(state)
-
-    def leaf_lb(self, state, dmax: float, depth: int) -> float:
-        return float(state[-1])
-
-
-class _EdrEngine:
-    """EDR extension: 0/1 edit DP with optimistic cell matching."""
-
-    def __init__(self, qpts: np.ndarray, grid: Grid, eps: float = 0.0):
-        self.m = len(qpts)
-        # per cell, the substitution cost: 0 where q_i may match a point in it
-        self.cols = _Columns(
-            lambda z: np.where(_cell_dists(qpts, grid, z) <= eps, 0.0, 1.0).tolist()
-        )
-
-    def root_state(self):
-        return [float(i) for i in range(self.m + 1)]  # E[i][0] = i
-
-    def advance(self, state, zs, dk):
-        f = state
-        m, cols = self.m, self.cols
-        for z in zs:
-            sub = cols[z]
-            nf = [0.0] * (m + 1)
-            nf[0] = f[0] + 1.0
-            for i in range(1, m + 1):
-                best = f[i - 1] + sub[i - 1]
-                v = f[i] + 1.0
-                if v < best:
-                    best = v
-                v = nf[i - 1] + 1.0
-                if v < best:
-                    best = v
-                nf[i] = best
-            f = nf
-            if min(f) > dk:
-                return None
-        return f
-
-    def node_lb(self, state, depth: int, max_suffix: int) -> float:
-        return min(state)
-
-    def leaf_lb(self, state, dmax: float, depth: int) -> float:
-        return float(state[-1])
-
-
-class _LcssEngine:
-    """LCSS-distance extension: optimistic match DP + suffix-aware bound.
+class _LcssEngine(_ColumnEngine):
+    """LCSS-distance extension: the column holds match counts. Its
+    minimum, the boundary entry, stays 0, so ``advance`` never aborts a
+    chain mid-way; the bounds need the node's depth instead.
 
     For a node at depth j with max remaining depth s, the final LCSS
     length is ≤ min(max_i(L_i + m − i), max_i L_i + s) and the final
     min(m, n) ≥ min(m, j), giving an admissible distance lower bound.
     """
 
-    def __init__(self, qpts: np.ndarray, grid: Grid, eps: float = 0.0):
-        self.m = len(qpts)
-        # per cell, whether q_i may match a point in it
-        self.cols = _Columns(lambda z: (_cell_dists(qpts, grid, z) <= eps).tolist())
-
-    def root_state(self):
-        return [0.0] * (self.m + 1)
-
-    def advance(self, state, zs, dk):
-        f = state
-        m, cols = self.m, self.cols
-        for z in zs:
-            hit = cols[z]
-            nf = [0.0] * (m + 1)
-            for i in range(1, m + 1):
-                keep = f[i] if f[i] >= nf[i - 1] else nf[i - 1]
-                if hit[i - 1]:
-                    grown = f[i - 1] + 1.0
-                    nf[i] = grown if grown > keep else keep
-                else:
-                    nf[i] = keep
-            f = nf
-        return f  # no mid-chain abort: the LCSS bound needs node context
-
     def node_lb(self, state, depth: int, max_suffix: int) -> float:
-        m = self.m
+        m = len(state) - 1
         ub_diag = max(v + (m - i) for i, v in enumerate(state))
         ub_suffix = max(state) + max_suffix
         ub = ub_diag if ub_diag < ub_suffix else ub_suffix
@@ -375,18 +209,8 @@ class _LcssEngine:
         return max(0.0, 1.0 - min(1.0, ub / denom))
 
     def leaf_lb(self, state, dmax: float, depth: int) -> float:
-        denom = max(1, min(self.m, depth))
+        denom = max(1, min(len(state) - 1, depth))
         return max(0.0, 1.0 - min(1.0, float(state[-1]) / denom))
-
-
-_ENGINES = {
-    "hausdorff": _HausdorffEngine,
-    "frechet": _FrechetEngine,
-    "dtw": _DtwEngine,
-    "erp": _ErpEngine,
-    "edr": _EdrEngine,
-    "lcss": _LcssEngine,
-}
 
 
 def make_engine(
@@ -398,13 +222,50 @@ def make_engine(
     gap: tuple[float, float] | None = None,
 ):
     """Instantiate the CompLB engine for a measure over ``grid``'s cells
-    (``eps``/``gap`` as in ``measures.get_measure``)."""
-    cls = _ENGINES[measure]
-    if measure == "erp" and gap is not None:
-        return cls(qpts, grid, gap=gap)
-    if measure in ("edr", "lcss"):
-        return cls(qpts, grid, eps=eps)
-    return cls(qpts, grid)
+    (``eps``/``gap`` as in ``measures.get_measure``).
+
+    Per cell, a DP engine's column holds the step's arguments after the
+    DP column: the query's cost to the cell centre (Frechet) or the
+    optimistic ``d'`` to the cell (the rest), from which EDR and LCSS
+    keep whether a query point may match a point in it.
+    """
+    if measure == "hausdorff":
+        return _HausdorffEngine(qpts, grid)
+    m = len(qpts)
+    if measure == "frechet":
+        return _ColumnEngine(
+            warp_start(m), frechet_step,
+            lambda z: (_centre_dists(qpts, grid, z).tolist(),),
+            slack=grid.half_diag, leaf_dmax=True, skip_repeats=True,
+        )
+    if measure == "dtw":
+        return _ColumnEngine(
+            warp_start(m), dtw_step, lambda z: (_cell_dists(qpts, grid, z).tolist(),)
+        )
+    if measure == "erp":
+        # gapping q_i costs the exact d(q_i, g), gapping the data point
+        # d'(cell, g) ≤ d(p_j, g)
+        g = np.asarray((0.0, 0.0) if gap is None else gap, dtype=float)
+        ga = np.sqrt(((qpts - g) ** 2).sum(1)).tolist()
+
+        def column(z):
+            rect = _cell_rect(grid, z)
+            dx = max(rect[0] - g[0], g[0] - rect[2], 0.0)
+            dy = max(rect[1] - g[1], g[1] - rect[3], 0.0)
+            return points_to_rect_dist(qpts, rect).tolist(), float(np.hypot(dx, dy)), ga
+
+        return _ColumnEngine(edit_start(ga), erp_step, column)
+    if measure == "edr":
+        return _ColumnEngine(
+            edit_start([1.0] * m), edr_step,
+            lambda z: (np.where(_cell_dists(qpts, grid, z) <= eps, 0.0, 1.0).tolist(),),
+        )
+    if measure == "lcss":
+        return _LcssEngine(
+            [0.0] * (m + 1), lcss_step,
+            lambda z: ((_cell_dists(qpts, grid, z) <= eps).tolist(),),
+        )
+    raise KeyError(measure)
 
 
 def _pivot_lbs(dqp: np.ndarray, hr: np.ndarray, slack: float) -> np.ndarray:

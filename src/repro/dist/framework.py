@@ -195,17 +195,17 @@ class DistributedTopK:
         self.index_bytes = sum(s["index_bytes"] for s in self.summaries)  # IS
         self.last_query_time = 0.0
 
-    def query(
-        self,
-        qpts: np.ndarray,
-        k: int,
-        *,
-        ctx: dict | None = None,
-    ) -> list[tuple[float, int]]:
+    def query_ctx(self, qpts: np.ndarray, k: int) -> dict:
+        """What every pack's search receives besides the query and k: a
+        subclass computes it on the driver, once per query."""
+        return {}
+
+    def query(self, qpts: np.ndarray, k: int, **kw) -> list[tuple[float, int]]:
         """Distributed top-k: one ``mapPartitions`` task per Spark
         partition searches its packs (``search_packs``), carrying the
         task's k-th from pack to pack; the driver merges the tasks' top-k
-        lists into the first k by ``(dist, tid)``.
+        lists into the first k by ``(dist, tid)``. ``kw`` go to
+        ``query_ctx``, whose time counts in the query's.
 
         Besides the wall-clock ``last_query_time``, records per-pack local
         search seconds (``last_local_times``: N_G entries, in task order)
@@ -215,8 +215,8 @@ class DistributedTopK:
         """
         check_k(k)
         t0 = time.perf_counter()
-        ctx = dict(ctx or {})
         q = np.asarray(qpts, dtype=float)
+        ctx = self.query_ctx(q, k, **kw)
 
         def run(packs):
             drop_zip_finders()

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.measures import METRICS, ORDER_INDEPENDENT, get_measure
 from repro.core.pivots import query_pivot_dists, select_pivots
 from repro.core.rptrie import RPTrie
-from repro.core.search import check_k, search_topk
+from repro.core.search import search_topk
 from repro.core.succinct import trie_size_bytes
 from repro.core.zorder import Grid
 from repro.dist.framework import DistributedTopK, LocalPack, sample_trajectories
@@ -121,18 +120,10 @@ class Repose(DistributedTopK):
         self.fn = fn
         self.pivots = pivots
 
-    def query(self, qpts, k, *, ctx=None):
-        """Distributed top-k; the query-to-pivot distances d_qp (§IV-D)
-        are computed once here and shipped to every pack in ``ctx``."""
-        check_k(k)
-        t0 = time.perf_counter()
-        q = np.asarray(qpts, float)
-        ctx = dict(ctx or {})
-        if self.pivots:
-            ctx["dqp"] = query_pivot_dists(q, self.pivots, self.fn)
-        out = super().query(q, k, ctx=ctx)
-        self.last_query_time = time.perf_counter() - t0
-        return out
+    def query_ctx(self, qpts, k):
+        """The query-to-pivot distances d_qp (§IV-D), computed once here
+        for every pack."""
+        return {"dqp": query_pivot_dists(qpts, self.pivots, self.fn)} if self.pivots else {}
 
     @property
     def total_trie_nodes(self) -> int:

@@ -195,13 +195,43 @@ def test_single_point_query():
     assert_same_topk(got, exp)
 
 
-@pytest.mark.parametrize("measure", ["frechet", "dtw"])
+@pytest.mark.parametrize("measure", ALL)
 def test_single_point_query_dp_measures(measure):
+    """A length-1 query: every DP column has one entry after its
+    boundary."""
+    kw = MEASURE_PARAMS[measure]
     q = np.array([[4.0, 4.0]])
     trie = make_trie(measure)
-    got = search_topk(trie, DATA, q, 5, measure=measure)
-    exp = brute_force_topk(DATA.items(), q, 5, measure=measure)
+    got = search_topk(trie, DATA, q, 5, measure=measure, **kw)
+    exp = brute_force_topk(DATA.items(), q, 5, measure=measure, **kw)
     assert_same_topk(got, exp)
+
+
+@pytest.mark.parametrize("measure", ALL)
+def test_single_point_data_query_outside_grid(measure):
+    """Length-1 data trajectories, some duplicated, and queries that lie
+    outside the grid's bounds, in part or in whole: exact ids. Far from
+    the data, EDR and LCSS tie every trajectory, so the ids test the tie
+    order too."""
+    kw = MEASURE_PARAMS[measure]
+    data = rnd_dataset(4, 60, min_len=1, max_len=6)
+    data.update({1000 + t: DATA[t][:1] for t in range(0, 40, 2)})
+    data.update({2000 + t: data[t].copy() for t in range(0, 60, 5)})
+    assert sum(len(p) == 1 for p in data.values()) > 20
+    pivots = [data[1000], data[3]] if measure in METRICS else []
+    trie = RPTrie(GRID, get_measure(measure, **kw), pivots)
+    trie.build(list(data.items()), mode="opt" if measure == "hausdorff" else "basic")
+    queries = (
+        rnd_query(12) + 25.0,        # beyond the grid's max corner
+        np.array([[-9.0, 30.0]]),    # one point, off the grid
+        rnd_query(13) - [12.0, 0.0], # straddles the grid's left edge
+    )
+    for q in queries:
+        assert not ((q >= -5) & (q <= 15)).all()
+        for k in (1, 7, 25):
+            got = search_topk(trie, data, q, k, measure=measure, **kw)
+            exp = brute_force_topk(data.items(), q, k, measure=measure, **kw)
+            assert_same_topk(got, exp)
 
 
 @pytest.mark.parametrize("measure", ALL)

@@ -7,7 +7,7 @@ smaller copy. The copies are placed three ways, as the framework can
 meet them: in one pack, in two packs one task searches in turn (the
 second starting from the first's k-th), and in two tasks whose top-k
 lists only the driver merges. Locally for all six measures, then through
-Spark for REPOSE and LS.
+Spark for REPOSE, LS, DFT and DITA.
 """
 from __future__ import annotations
 
@@ -164,9 +164,14 @@ def placements(index, group) -> set[str]:
     return found
 
 
-@pytest.mark.parametrize("system", ["repose", "ls"])
-@pytest.mark.parametrize("measure", ["hausdorff", "frechet"])
+@pytest.mark.parametrize(
+    ("measure", "system"),
+    [(m, s) for m in ("hausdorff", "frechet") for s in ("repose", "ls", "dft")]
+    + [("frechet", "dita")],  # DITA has no Hausdorff
+)
 def test_ties_through_spark(spark, tie_data, system, measure):
+    from repro.baselines.dft import Dft
+    from repro.baselines.dita import Dita
     from repro.baselines.ls import Ls
     from repro.dist.repose import Repose
 
@@ -174,7 +179,8 @@ def test_ties_through_spark(spark, tie_data, system, measure):
     if system == "repose":
         index = Repose(spark, df, measure=measure, delta=0.15, n_partitions=n_packs)
     else:
-        index = Ls(spark, df, measure=measure, n_partitions=n_packs, strategy="heterogeneous")
+        cls = {"ls": Ls, "dft": Dft, "dita": Dita}[system]
+        index = cls(spark, df, measure=measure, n_partitions=n_packs, strategy="heterogeneous")
     assert placements(index, group) == {"one pack", "two packs of one task", "two tasks"}
     ranked = brute_force_topk(data.items(), q, len(data), measure=measure)
     at = [i for i, (_, t) in enumerate(ranked) if t in group]
