@@ -10,15 +10,16 @@ Hausdorff is additionally order-independent (``ORDER_INDEPENDENT``), which
 enables the z-value re-arrangement trie optimization (§III-C).
 
 Each DP measure has one column step (``frechet_step``, ``dtw_step``,
-``erp_step``, ``edr_step``, ``lcss_step``): the previous DP column, its
-boundary entry first, and one new point's costs give the next column.
-The kernels below run it once per point of the first trajectory, and the
-CompLB engines of ``search`` once per reference point of a trie node, so
-a lower bound and its exact distance share one recurrence. Steps work on
-Python lists: per-element access costs less there than on numpy arrays.
-Each step has a fixed cost besides, so the symmetric kernels without a
-bound (Frechet, DTW, ERP; the build's pivot and ``D_max`` distances to
-short reference trajectories) put the shorter trajectory first.
+``erp_step``, ``lcss_step``; EDR is ERP with unit costs): the previous DP
+column, its boundary entry first, and one new point's costs give the
+next column. The kernels below run it once per point of the first
+trajectory, and the CompLB engines of ``search`` once per reference point
+of a trie node, so a lower bound and its exact distance share one
+recurrence. Steps work on Python lists: per-element access costs less
+there than on numpy arrays. Each step has a fixed cost besides, so
+``frechet`` without a bound puts the shorter trajectory first: the
+build's pivot and ``D_max`` distances take a node's collapsed reference
+trajectory, often a few points long.
 
 Every kernel takes an optional keyword ``bound``, for the cascade of the
 UCR suite (Rakthanmanon et al., KDD 2012). It returns the exact distance
@@ -105,7 +106,8 @@ def warp_start(n: int) -> list:
 def erp_step(prev: list, cost: list, gap: float, gaps: list) -> list:
     """The ERP DP column after one more point: the cheapest of matching
     it (``cost``), gapping it (``gap``, its distance to the gap point) and
-    gapping the column's point (``gaps``)."""
+    gapping the column's point (``gaps``). With ``cost`` 0 on a match and
+    1 otherwise, and every gap 1, it is the EDR column."""
     left = prev[0] + gap
     cur = [left]
     for diag, up, c, g in zip(prev, prev[1:], cost, gaps):
@@ -114,23 +116,6 @@ def erp_step(prev: list, cost: list, gap: float, gaps: list) -> list:
         if up < diag:
             diag = up
         left += g
-        if diag < left:
-            left = diag
-        cur.append(left)
-    return cur
-
-
-def edr_step(prev: list, sub: list) -> list:
-    """The EDR DP column after one more point: ``sub`` is 0 where it
-    matches the column's point and 1 where not; a gap costs 1."""
-    left = prev[0] + 1.0
-    cur = [left]
-    for diag, up, s in zip(prev, prev[1:], sub):
-        diag += s
-        up += 1.0
-        if up < diag:
-            diag = up
-        left += 1.0
         if diag < left:
             left = diag
         cur.append(left)
@@ -188,8 +173,6 @@ def frechet(a: np.ndarray, b: np.ndarray, *, bound: float = math.inf) -> float:
 
 def dtw(a: np.ndarray, b: np.ndarray, *, bound: float = math.inf) -> float:
     """Dynamic time warping distance (paper Eq. 12)."""
-    if bound == math.inf and len(a) > len(b):
-        return dtw(b, a)  # the same value, in fewer and longer columns
     d = pair_dists(a, b)
     if bound < math.inf:
         # every warping path pays at least one cell per row and per column
@@ -212,8 +195,6 @@ def erp(
     Matching q_i↔p_j costs d(q_i, p_j); gapping a point costs its distance
     to the fixed gap point ``g``. ERP is a metric.
     """
-    if bound == math.inf and len(a) > len(b):
-        return erp(b, a, gap)  # the same value, in fewer and longer columns
     g = np.asarray(gap, dtype=float)
     ga = np.sqrt(((a - g) ** 2).sum(1))
     gb = np.sqrt(((b - g) ** 2).sum(1))
@@ -241,8 +222,9 @@ def edr(a: np.ndarray, b: np.ndarray, eps: float, *, bound: float = math.inf) ->
         lb = max(abs(m - n), m - int(match.any(1).sum()), n - int(match.any(0).sum()))
         if lb > bound:
             return float(lb)
-    rows = zip(np.where(match, 0.0, 1.0).tolist())
-    return _abandoning(edr_step, edit_start([1.0] * n), rows, bound)
+    ones = [1.0] * n
+    rows = zip(np.where(match, 0.0, 1.0).tolist(), repeat(1.0), repeat(ones))
+    return _abandoning(erp_step, edit_start(ones), rows, bound)
 
 
 def lcss(a: np.ndarray, b: np.ndarray, eps: float, *, bound: float = math.inf) -> float:

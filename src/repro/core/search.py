@@ -50,13 +50,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import groupby
 from typing import Iterable
 
 import numpy as np
 
 from .measures import (
-    METRICS, bounded, dtw_step, edit_start, edr_step, erp_step, frechet_step,
-    get_measure, lcss_step, warp_start,
+    METRICS, bounded, dtw_step, edit_start, erp_step, frechet_step, get_measure,
+    lcss_step, warp_start,
 )
 from .pivots import query_pivot_dists
 from .rptrie import RPTrie
@@ -153,31 +154,28 @@ class _ColumnEngine:
     the costs are to cell centres (Frechet), and 0 where they are the
     optimistic ``d'`` to the cell, already a lower bound; for the same
     reason only centre costs subtract the leaf's ``D_max`` from ``f_m,n``
-    (``leaf_dmax``, Eq. 8; DTW's Eq. 14 takes it as it is).
-    ``skip_repeats`` skips a z equal to the one before it, which leaves a
-    Frechet column as it is (a coupling may stay on a point).
+    (Eq. 8; DTW's Eq. 14 takes it as it is). A z equal to the one before
+    it leaves a Frechet column as it is (a coupling may stay on a point),
+    so its step is skipped.
     """
 
-    def __init__(self, start, step, column, *, slack=0.0, leaf_dmax=False, skip_repeats=False):
+    def __init__(self, start, step, column, *, slack=0.0):
         self.start = start
         self.step = step
         self.cols = _Columns(column)
         self.slack = slack
-        self.leaf_dmax = leaf_dmax
-        self.skip_repeats = skip_repeats
+        self.leaf_dmax = slack > 0
+        self.skip_repeats = step is frechet_step
 
     def root_state(self):
         return self.start
 
     def advance(self, state, zs, dk):
-        f, step, cols, skip = state, self.step, self.cols, self.skip_repeats
+        f, step, cols = state, self.step, self.cols
+        if self.skip_repeats:
+            zs = [z for z, _ in groupby(zs)]
         cut = dk + self.slack
-        last = None
         for z in zs:
-            if z == last:
-                continue
-            if skip:
-                last = z
             f = step(f, *cols[z])
             if min(f) > cut:
                 return None
@@ -193,12 +191,18 @@ class _ColumnEngine:
 class _LcssEngine(_ColumnEngine):
     """LCSS-distance extension: the column holds match counts. Its
     minimum, the boundary entry, stays 0, so ``advance`` never aborts a
-    chain mid-way; the bounds need the node's depth instead.
+    chain; the bounds need the node's depth instead.
 
     For a node at depth j with max remaining depth s, the final LCSS
     length is ≤ min(max_i(L_i + m − i), max_i L_i + s) and the final
     min(m, n) ≥ min(m, j), giving an admissible distance lower bound.
     """
+
+    def advance(self, state, zs, dk):
+        step, cols = self.step, self.cols
+        for z in zs:
+            state = step(state, *cols[z])
+        return state
 
     def node_lb(self, state, depth: int, max_suffix: int) -> float:
         m = len(state) - 1
@@ -236,7 +240,7 @@ def make_engine(
         return _ColumnEngine(
             warp_start(m), frechet_step,
             lambda z: (_centre_dists(qpts, grid, z).tolist(),),
-            slack=grid.half_diag, leaf_dmax=True, skip_repeats=True,
+            slack=grid.half_diag,
         )
     if measure == "dtw":
         return _ColumnEngine(
@@ -256,9 +260,11 @@ def make_engine(
 
         return _ColumnEngine(edit_start(ga), erp_step, column)
     if measure == "edr":
+        # ERP with unit costs
+        ones = [1.0] * m
         return _ColumnEngine(
-            edit_start([1.0] * m), edr_step,
-            lambda z: (np.where(_cell_dists(qpts, grid, z) <= eps, 0.0, 1.0).tolist(),),
+            edit_start(ones), erp_step,
+            lambda z: (np.where(_cell_dists(qpts, grid, z) <= eps, 0.0, 1.0).tolist(), 1.0, ones),
         )
     if measure == "lcss":
         return _LcssEngine(
