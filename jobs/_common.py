@@ -70,9 +70,9 @@ def timed_queries(algo_obj, queries, k: int) -> dict:
     """Query-time stats over the query set.
 
     Returns ``{"wall": mean wall-clock seconds, "local": mean
-    slowest-partition local search seconds}``. The local number excludes
-    the fixed local-mode RPC floor (~0.2 s) — on a real cluster the
-    slowest partition *is* the stage latency, so it is the
+    slowest-task local search seconds}``. The local number excludes the
+    fixed local-mode Spark job floor (about 0.05–0.2 s on 4 vCPUs) — on a
+    real cluster the slowest task *is* the stage latency, so it is the
     floor-free view of the sweeps. One untimed warmup query first: the
     very first query on a fresh cached RDD pays JVM/python-worker startup
     that the paper's 20-run averages also exclude.

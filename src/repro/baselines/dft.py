@@ -24,7 +24,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.rtree import STRtree
 from repro.baselines.theta import ThetaTopK
-from repro.core.measures import get_measure
+from repro.core.measures import get_lower_bound, get_measure
 from repro.core.search import scan_topk
 from repro.dist.framework import LocalPack
 
@@ -35,7 +35,9 @@ class DftPack(LocalPack):
     def __init__(self, pid, trajs, cfg):
         t0 = time.perf_counter()
         self.trajs = dict(trajs)
-        self.fn = get_measure(cfg["measure"], eps=cfg.get("eps"), gap=cfg.get("gap"))
+        kw = {"eps": cfg.get("eps"), "gap": cfg.get("gap")}
+        self.fn = get_measure(cfg["measure"], **kw)
+        self.lower_bound = get_lower_bound(cfg["measure"], **kw)
         seg_mbrs, seg_tid = [], []
         for tid, pts in trajs:
             a, b = pts[:-1], pts[1:]
@@ -80,7 +82,10 @@ class DftPack(LocalPack):
         for t in self.seg_tid[near]:
             near_count[self.tid_index[int(t)]] += 1
         cand = self.tids[near_count == self.seg_count].tolist()
-        return scan_topk(self.fn, ((t, self.trajs[t]) for t in cand), qpts, k, d_k=kth)
+        return scan_topk(
+            self.fn, ((t, self.trajs[t]) for t in cand), qpts, k, d_k=kth,
+            lower_bound=self.lower_bound,
+        )
 
 
 class Dft(ThetaTopK):

@@ -28,7 +28,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.theta import ThetaTopK
-from repro.core.measures import get_measure
+from repro.core.measures import get_lower_bound, get_measure
 from repro.core.search import scan_topk
 from repro.dist.framework import LocalPack
 
@@ -109,7 +109,9 @@ class DitaPack(LocalPack):
     def __init__(self, pid, trajs, cfg):
         t0 = time.perf_counter()
         self.trajs = dict(trajs)
-        self.fn = get_measure(cfg["measure"], eps=cfg.get("eps"), gap=cfg.get("gap"))
+        kw = {"eps": cfg.get("eps"), "gap": cfg.get("gap")}
+        self.fn = get_measure(cfg["measure"], **kw)
+        self.lower_bound = get_lower_bound(cfg["measure"], **kw)
         self.n_pp = cfg["n_pp"]
         tids = np.array([t for t, _ in trajs], dtype=np.int64)
         reps = np.stack(
@@ -174,7 +176,10 @@ class DitaPack(LocalPack):
         cand = self._candidates(qpts, theta)
         # (θ, ∞) admits every distance ≤ θ
         d_k = min(kth, (theta, math.inf))
-        return scan_topk(self.fn, ((t, self.trajs[t]) for t in cand), qpts, k, d_k=d_k)
+        return scan_topk(
+            self.fn, ((t, self.trajs[t]) for t in cand), qpts, k, d_k=d_k,
+            lower_bound=self.lower_bound,
+        )
 
 
 class Dita(ThetaTopK):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.measures import get_measure
+from repro.core.measures import get_lower_bound, get_measure
 from repro.core.search import scan_topk
 from repro.dist.framework import DistributedTopK, LocalPack
 
@@ -21,11 +21,13 @@ class LsPack(LocalPack):
     def __init__(self, pid, trajs, cfg):
         t0 = time.perf_counter()
         self.trajs = list(trajs)
-        self.fn = get_measure(cfg["measure"], eps=cfg.get("eps"), gap=cfg.get("gap"))
+        kw = {"eps": cfg.get("eps"), "gap": cfg.get("gap")}
+        self.fn = get_measure(cfg["measure"], **kw)
+        self.lower_bound = get_lower_bound(cfg["measure"], **kw)
         super().__init__(pid, len(trajs), time.perf_counter() - t0, 0)
 
     def search(self, qpts, k, ctx, kth):
-        return scan_topk(self.fn, self.trajs, qpts, k, d_k=kth)
+        return scan_topk(self.fn, self.trajs, qpts, k, d_k=kth, lower_bound=self.lower_bound)
 
 
 class Ls(DistributedTopK):

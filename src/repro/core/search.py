@@ -37,6 +37,16 @@ trie has far more nodes than the grid has cells that a query reaches, so
 each search computes them once per cell, on first use (``_Columns``), and
 an engine's ``advance`` takes the chain's z-values.
 
+One traversal searches all the tries of a Spark task (``search_tries``),
+as the paper runs one local search per core: one heap whose entries name
+their trie, one threshold, one engine and one set of cell columns;
+``search_topk`` is the same traversal on one trie. A popped leaf puts
+its trajectories back on the heap keyed by the measure's cheap lower
+bound (``measures.get_lower_bound``), so exact distances are refined in
+bound order and mostly only for the final top-k (optimal multi-step
+k-NN, Seidl & Kriegel, SIGMOD 1998). Hausdorff has no bound cheap
+enough and refines at the leaf.
+
 The answer is tie-exact: the first k by ``(dist, tid)`` (``TopK``). A
 bound prunes only when it is strictly above the k-th distance, and a
 candidate at exactly that distance still enters when its tid is smaller.
@@ -44,20 +54,21 @@ Each exact distance is refined against the k-th distance as a ``bound``,
 so it stops early when it cannot enter (``measures``).
 
 The pivot lower bound (§IV-D) uses the node HR arrays with the standard
-symmetric metric bound (see DESIGN.md §3 re: the paper's Eq. 5).
+symmetric metric bound (see DESIGN.md §3 re: the paper's Eq. 5), for all
+of a trie's chains and leaves in one numpy call per search.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from itertools import groupby
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .measures import (
-    METRICS, bounded, dtw_step, edit_start, erp_step, frechet_step, get_measure,
-    lcss_step, warp_start,
+    METRICS, bounded, dtw_step, edit_start, erp_step, frechet_step, get_lower_bound,
+    get_measure, lcss_step, warp_start,
 )
 from .pivots import query_pivot_dists
 from .rptrie import RPTrie
@@ -287,7 +298,8 @@ def _pivot_lbs(dqp: np.ndarray, hr: np.ndarray, slack: float) -> np.ndarray:
 #: columns advanced per heap pop — best-first granularity of the
 #: path-compressed traversal (heap overhead vs. wasted DP columns)
 CHAIN_CHUNK = 8
-CHAIN, LEAF = 0, 1
+#: heap entry kinds: a chain to advance, a leaf to open, a trajectory to refine
+CHAIN, LEAF, CAND = 0, 1, 2
 
 
 class SearchStats:
@@ -338,6 +350,155 @@ class TopK:
         return sorted((-d, -t) for d, t in self.heap)
 
 
+class _Pack:
+    """One trie of a search: its flat arrays as lists (the loop indexes
+    them once per pop, where numpy scalars would cost more), its
+    trajectories, and with ``dqp`` the pivot bound LB_p of every chain
+    and leaf, from one ``_pivot_lbs`` call."""
+
+    __slots__ = (
+        "zs", "off", "kid_off", "depth", "suffix", "leaf", "tids", "tid_off", "dmax",
+        "trajs", "chain_lbp", "leaf_lbp",
+    )
+
+    def __init__(self, trie: RPTrie, trajs: dict[int, np.ndarray], dqp: np.ndarray | None):
+        self.zs, self.off, self.kid_off = trie.zs.tolist(), trie.off.tolist(), trie.kid_off.tolist()
+        self.depth, self.suffix = trie.depth.tolist(), trie.max_suffix.tolist()
+        self.leaf, self.tids, self.tid_off = trie.leaf.tolist(), trie.tids.tolist(), trie.tid_off.tolist()
+        self.dmax = trie.dmax.tolist()
+        self.trajs = trajs
+        if dqp is not None:
+            n = len(trie.hr)
+            lbp = _pivot_lbs(dqp, np.concatenate((trie.hr, trie.leaf_hr)), trie.pivot_slack)
+            self.chain_lbp, self.leaf_lbp = lbp[:n].tolist(), lbp[n:].tolist()
+
+
+def search_tries(
+    packs: Sequence[tuple[RPTrie, dict[int, np.ndarray]]],
+    qpts: np.ndarray,
+    k: int,
+    *,
+    measure: str,
+    eps: float | None = None,
+    gap: tuple[float, float] | None = None,
+    d_k: float | tuple[float, int] = math.inf,
+    stats: SearchStats | None = None,
+    dqp: np.ndarray | None = None,
+) -> list[tuple[float, int]]:
+    """Exact top-k over several RP-Tries at once (Algorithm 2): the first
+    ``k`` ``(dist, tid)`` below ``d_k`` of all ``(trie, trajs)`` packs,
+    ascending.
+
+    One best-first traversal, as the paper runs one local search per
+    core: a heap whose entries name their pack, one threshold and one
+    CompLB engine with its cell columns. The tries must share grid,
+    measure parameters and pivots (the packs of one index do); each
+    keeps its own flat arrays and ``pivot_slack``.
+
+    A popped leaf does not refine its trajectories at once. Each becomes
+    a heap entry keyed by the measure's cheap lower bound
+    (``measures.get_lower_bound``) and is refined, bounded by the running
+    k-th distance, only if it pops at or below it, so refines run in
+    bound order and mostly on the final top-k. Hausdorff's cheap bound
+    costs most of its kernel, so it refines at the leaf.
+
+    ``d_k`` seeds the threshold (see :class:`TopK`): a float admits only
+    distances below it, and a ``(dist, tid)`` pair admits what sorts
+    before it. Ties are exact: a bound prunes only when it is strictly
+    above the threshold's distance, and each refine gets that distance as
+    its ``bound``. ``dqp`` is the query-to-pivot distances of the tries'
+    pivots, when the caller has them already; otherwise they are
+    computed here. The kernel comes from ``get_measure``; one that takes
+    no ``bound`` refines in full (``measures.bounded``).
+    """
+    top = TopK(k, d_k)
+    first = packs[0][0]
+    fn = get_measure(measure, eps=eps, gap=gap)
+    refine = bounded(fn)
+    cand_lb = get_lower_bound(measure, eps=eps, gap=gap)
+    engine = make_engine(measure, qpts, first.grid, eps=eps, gap=gap)
+    use_pivots = measure in METRICS and first.n_pivots > 0
+    if not use_pivots:
+        dqp = None
+    elif dqp is None:
+        dqp = query_pivot_dists(qpts, first.pivots, fn)
+
+    stats = stats or SearchStats()
+    counter = 0
+    heap: list = []
+
+    def push(lb: float, kind: int, p: _Pack, item) -> None:
+        nonlocal counter
+        counter += 1
+        heapq.heappush(heap, (lb, counter, kind, p, item))
+        stats.pushed += 1
+
+    root_state = engine.root_state()
+    for trie, trajs in packs:
+        p = _Pack(trie, trajs, dqp)
+        for e in range(p.kid_off[0], p.kid_off[1]):
+            push(0.0, CHAIN, p, (e, 0, root_state))
+
+    while heap:
+        lb, _, kind, p, item = heapq.heappop(heap)
+        dk = top.dist
+        if lb > dk:
+            break
+        if kind == CAND:
+            stats.exact_computed += 1
+            top.offer(refine(qpts, p.trajs[item], bound=dk), item)
+            continue
+        if kind == LEAF:
+            stats.leaves_visited += 1
+            tids = p.tids[p.tid_off[item] : p.tid_off[item + 1]]
+            if cand_lb is None:
+                for tid in tids:
+                    stats.exact_computed += 1
+                    top.offer(refine(qpts, p.trajs[tid], bound=top.dist), tid)
+                continue
+            for tid in tids:
+                clb = cand_lb(qpts, p.trajs[tid])
+                if clb <= dk:
+                    push(clb if clb > lb else lb, CAND, p, tid)
+            continue
+        # CHAIN: advance chain e by one chunk, then re-enqueue — best-first
+        # ordering operates at chunk granularity, so no chain runs to its
+        # end while d_k is still loose.
+        e, pos, state = item
+        # HR is identical along a chain: one check covers its subtree
+        if pos == 0 and dqp is not None and p.chain_lbp[e] > dk:
+            continue
+        stats.nodes_expanded += 1
+        lo = p.off[e]
+        n_chain = p.off[e + 1] - lo
+        hi = min(pos + CHAIN_CHUNK, n_chain)
+        st = engine.advance(state, p.zs[lo + pos : lo + hi], dk)
+        if st is None:
+            continue  # monotone bound crossed d_k: subtree pruned
+        depth, suffix = p.depth[e], p.suffix[e]
+        if hi < n_chain:
+            # interior of a single-child run: depth/suffix are derivable
+            clb = engine.node_lb(st, depth - n_chain + hi, n_chain - hi + suffix)
+            if clb <= dk:
+                push(clb, CHAIN, p, (e, hi, st))
+            continue
+        clb = engine.node_lb(st, depth, suffix)
+        if clb > dk:
+            continue
+        for c in range(p.kid_off[e], p.kid_off[e + 1]):
+            push(clb, CHAIN, p, (c, 0, st))
+        l = p.leaf[e]
+        if l >= 0:
+            llb = engine.leaf_lb(st, p.dmax[l], depth)
+            if dqp is not None:
+                llb = max(llb, p.leaf_lbp[l])
+            llb = max(llb, clb)
+            if llb <= dk:
+                push(llb, LEAF, p, l)
+
+    return top.result()
+
+
 def search_topk(
     trie: RPTrie,
     trajs: dict[int, np.ndarray],
@@ -351,100 +512,11 @@ def search_topk(
     stats: SearchStats | None = None,
     dqp: np.ndarray | None = None,
 ) -> list[tuple[float, int]]:
-    """Exact local top-k (Algorithm 2): the first ``k`` ``(dist, tid)``
-    below ``d_k``, ascending.
-
-    ``d_k`` seeds the threshold (see :class:`TopK`): a float admits only
-    distances below it, and a ``(dist, tid)`` pair, the running k-th of
-    the packs a task searched before this one, admits what sorts before
-    it. Ties are exact: a bound prunes only when it is strictly above the
-    threshold's distance, and each refine gets that distance as its
-    ``bound``. ``dqp`` is the query-to-pivot distances of
-    ``trie.pivots``, when the caller has them already; otherwise they are
-    computed here. The kernel comes from ``get_measure``; one that takes
-    no ``bound`` refines in full (``measures.bounded``).
-    """
-    fn = get_measure(measure, eps=eps, gap=gap)
-    refine = bounded(fn)
-    engine = make_engine(measure, qpts, trie.grid, eps=eps, gap=gap)
-    use_pivots = measure in METRICS and trie.n_pivots > 0
-    if use_pivots and dqp is None:
-        dqp = query_pivot_dists(qpts, trie.pivots, fn)
-    slack_p = trie.pivot_slack
-    # per-chain and per-leaf fields as lists: the loop below indexes
-    # them once per pop, where numpy scalars would cost more
-    zs, off, kid_off = trie.zs.tolist(), trie.off.tolist(), trie.kid_off.tolist()
-    depth, suffix, leaf = trie.depth.tolist(), trie.max_suffix.tolist(), trie.leaf.tolist()
-    tids, tid_off, dmax = trie.tids.tolist(), trie.tid_off.tolist(), trie.dmax.tolist()
-    hr, leaf_hr = trie.hr, trie.leaf_hr
-
-    stats = stats or SearchStats()
-    top = TopK(k, d_k)
-    counter = 0
-    heap: list = []
-
-    def push_chain(e: int, lb: float, state) -> None:
-        """Enqueue a (lazy) chain entry; its DP has not been advanced yet."""
-        nonlocal counter
-        counter += 1
-        heapq.heappush(heap, (lb, counter, CHAIN, (e, 0, state)))
-        stats.pushed += 1
-
-    root_state = engine.root_state()
-    for e in range(kid_off[0], kid_off[1]):
-        push_chain(e, 0.0, root_state)
-
-    while heap:
-        lb, _, kind, payload = heapq.heappop(heap)
-        dk = top.dist
-        if lb > dk:
-            break
-        if kind == LEAF:
-            stats.leaves_visited += 1
-            for tid in tids[tid_off[payload] : tid_off[payload + 1]]:
-                stats.exact_computed += 1
-                top.offer(refine(qpts, trajs[tid], bound=top.dist), tid)
-            continue
-        # CHAIN: advance chain e by one chunk, then re-enqueue — best-first
-        # ordering operates at chunk granularity, so no chain runs to its
-        # end while d_k is still loose.
-        e, pos, state = payload
-        if pos == 0 and use_pivots:
-            # HR is identical along a chain: one check covers its subtree
-            if float(_pivot_lbs(dqp, hr[e], slack_p)) > dk:
-                continue
-        stats.nodes_expanded += 1
-        lo = off[e]
-        n_chain = off[e + 1] - lo
-        hi = min(pos + CHAIN_CHUNK, n_chain)
-        st = engine.advance(state, zs[lo + pos : lo + hi], dk)
-        if st is None:
-            continue  # monotone bound crossed d_k: subtree pruned
-        if hi < n_chain:
-            # interior of a single-child run: depth/suffix are derivable
-            clb = engine.node_lb(st, depth[e] - n_chain + hi, n_chain - hi + suffix[e])
-            if clb <= dk:
-                counter += 1
-                heapq.heappush(heap, (clb, counter, CHAIN, (e, hi, st)))
-                stats.pushed += 1
-            continue
-        clb = engine.node_lb(st, depth[e], suffix[e])
-        if clb > dk:
-            continue
-        for c in range(kid_off[e], kid_off[e + 1]):
-            push_chain(c, clb, st)
-        l = leaf[e]
-        if l >= 0:
-            llb = engine.leaf_lb(st, dmax[l], depth[e])
-            if use_pivots:
-                llb = max(llb, float(_pivot_lbs(dqp, leaf_hr[l], slack_p)))
-            llb = max(llb, clb)
-            if llb <= dk:
-                counter += 1
-                heapq.heappush(heap, (llb, counter, LEAF, l))
-                stats.pushed += 1
-
-    return top.result()
+    """Exact local top-k of one RP-Trie: :func:`search_tries` on one pack."""
+    return search_tries(
+        [(trie, trajs)], qpts, k, measure=measure, eps=eps, gap=gap,
+        d_k=d_k, stats=stats, dqp=dqp,
+    )
 
 
 def scan_topk(
@@ -454,14 +526,25 @@ def scan_topk(
     k: int,
     *,
     d_k: float | tuple[float, int] = math.inf,
+    lower_bound=None,
 ) -> list[tuple[float, int]]:
     """The first ``k`` ``(dist, tid)`` below ``d_k`` (as in
-    :func:`search_topk`) of ``trajs``, each refined by kernel ``fn`` with
+    :func:`search_tries`) of ``trajs``, each refined by kernel ``fn`` with
     the running k-th distance as its ``bound``: the refine the LS, DFT
-    and DITA packs share with REPOSE."""
+    and DITA packs share with REPOSE. With the measure's
+    ``lower_bound`` (``measures.get_lower_bound``) the refines run in the
+    order of that bound, as REPOSE's do, and stop once the next bound is
+    above the k-th distance; without one, in the order given."""
     refine = bounded(fn)
     top = TopK(k, d_k)
-    for tid, pts in trajs:
+    if lower_bound is None:
+        for tid, pts in trajs:
+            top.offer(refine(qpts, pts, bound=top.dist), tid)
+        return top.result()
+    # tids are distinct, so the sort never compares the arrays
+    for lb, tid, pts in sorted((lower_bound(qpts, pts), tid, pts) for tid, pts in trajs):
+        if lb > top.dist:
+            break
         top.offer(refine(qpts, pts, bound=top.dist), tid)
     return top.result()
 

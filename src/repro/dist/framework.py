@@ -14,12 +14,14 @@ the cores, and every Spark task costs a fixed scheduling floor per query,
 so the N_G packs are placed on ``min(N_G, cores)`` Spark partitions by
 ``pid % n_tasks``: each task builds, and later searches, the packs it
 owns. The pack, not the Spark partition, stays the unit of partitioning
-strategy, summaries and per-partition local times. A task searches its
-packs in pid order and hands each the task's running k-th ``(dist,
-tid)``, as the paper's one local search per core prunes against its
-running k-th distance (§IV): a later pack starts from that threshold
-rather than from infinity. The threshold is tie-exact, so the answer is
-still the first k by ``(dist, tid)``.
+strategy and summaries; the task is the unit of local search, as the
+paper runs one local search per core (§IV). A task hands its packs, in
+pid order, to their class's ``LocalPack.search_task``: REPOSE searches
+them as one best-first traversal, and by default each pack searches in
+turn from the task's running k-th ``(dist, tid)``, so a later pack
+starts from that threshold rather than from infinity. The threshold is
+tie-exact, so the answer is still the first k by ``(dist, tid)``. Local
+times are per task, since a task, not a pack, sets the stage latency.
 
 The cached ``RDD[LocalPack]`` is the only pack cache. PySpark caches its
 elements as pickled bytes, where the paper's Scala ``RDD[RpTraj]`` holds
@@ -79,6 +81,27 @@ class LocalPack:
         ``kth``, the running k-th of the packs its task searched before."""
         raise NotImplementedError
 
+    @classmethod
+    def search_task(cls, packs: list, qpts: np.ndarray, k: int, ctx: dict):
+        """One task's local search over its ``packs`` (pid order): the
+        seconds of each search it ran and the task's top-k.
+
+        By default each pack ``search``es in turn against the task's
+        running k-th ``(dist, tid)`` (``NO_KTH`` first), as the paper's
+        one local search per core prunes against its running k-th
+        (§IV), so a later pack starts from that threshold rather than
+        from infinity. A subclass may search all the packs as one.
+        """
+        times, top, kth = [], [], NO_KTH
+        for pack in packs:
+            t0 = time.perf_counter()
+            res = pack.search(qpts, k, ctx, kth)
+            times.append(time.perf_counter() - t0)
+            top = sorted(top + res)[:k]
+            if len(top) == k:
+                kth = top[-1]
+        return times, top
+
     def summary(self) -> dict:
         """Driver-visible build metadata (global index info goes here)."""
         return {
@@ -107,21 +130,11 @@ NO_KTH = (math.inf, math.inf)
 
 
 def search_packs(packs, qpts: np.ndarray, k: int, ctx: dict):
-    """One task's local search: its packs in turn, each against the
-    task's running k-th ``(dist, tid)``. ``packs`` come in pid order, as
-    the build task yields them.
-
-    Returns the seconds each pack's search took and the task's top-k.
-    """
-    times, top, kth = [], [], NO_KTH
-    for pack in packs:
-        t0 = time.perf_counter()
-        res = pack.search(qpts, k, ctx, kth)
-        times.append(time.perf_counter() - t0)
-        top = sorted(top + res)[:k]
-        if len(top) == k:
-            kth = top[-1]
-    return times, top
+    """One task's local search: its packs, in pid order as the build
+    task yields them, handed to their class's ``search_task``. Returns
+    the seconds of each search it ran and the task's top-k."""
+    packs = list(packs)
+    return type(packs[0]).search_task(packs, qpts, k, ctx)
 
 
 def _rows_to_trajs(rows) -> list[tuple[int, np.ndarray]]:
@@ -202,16 +215,16 @@ class DistributedTopK:
 
     def query(self, qpts: np.ndarray, k: int, **kw) -> list[tuple[float, int]]:
         """Distributed top-k: one ``mapPartitions`` task per Spark
-        partition searches its packs (``search_packs``), carrying the
-        task's k-th from pack to pack; the driver merges the tasks' top-k
-        lists into the first k by ``(dist, tid)``. ``kw`` go to
-        ``query_ctx``, whose time counts in the query's.
+        partition searches its packs (``search_packs``); the driver
+        merges the tasks' top-k lists into the first k by ``(dist,
+        tid)``. ``kw`` go to ``query_ctx``, whose time counts in the
+        query's.
 
-        Besides the wall-clock ``last_query_time``, records per-pack local
-        search seconds (``last_local_times``: N_G entries, in task order)
-        and their maximum (``last_local_max``): the slowest partition is
-        what determines stage latency on a real cluster, without the fixed
-        local-mode RPC floor.
+        Besides the wall-clock ``last_query_time``, records each task's
+        local search seconds (``last_local_times``: one entry per Spark
+        partition, in task order) and their maximum (``last_local_max``):
+        the slowest task is what determines stage latency on a real
+        cluster, without the fixed local-mode RPC floor.
         """
         check_k(k)
         t0 = time.perf_counter()
@@ -223,7 +236,7 @@ class DistributedTopK:
             yield search_packs(packs, q, k, ctx)
 
         out = self.rdd.mapPartitions(run).collect()
-        self.last_local_times = [t for times, _ in out for t in times]
+        self.last_local_times = [sum(times) for times, _ in out]
         self.last_local_max = max(self.last_local_times, default=0.0)
         merged = sorted(r for _, top in out for r in top)[:k]
         self.last_query_time = time.perf_counter() - t0

@@ -10,7 +10,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.measures import METRICS, ORDER_INDEPENDENT, get_measure
 from repro.core.pivots import query_pivot_dists, select_pivots
 from repro.core.rptrie import RPTrie
-from repro.core.search import search_topk
+from repro.core.search import search_tries
 from repro.core.succinct import trie_size_bytes
 from repro.core.zorder import Grid
 from repro.dist.framework import DistributedTopK, LocalPack, sample_trajectories
@@ -47,11 +47,17 @@ class ReposePack(LocalPack):
         super().__init__(pid, len(trajs), time.perf_counter() - t0, idx_bytes)
         self.node_count = self.trie.node_count()
 
-    def search(self, qpts, k, ctx, kth):
-        return search_topk(
-            self.trie, self.trajs, qpts, k, measure=self.measure,
-            d_k=kth, dqp=ctx.get("dqp"), **self.params,
+    @classmethod
+    def search_task(cls, packs, qpts, k, ctx):
+        """All of a task's packs as one best-first search (``search_tries``):
+        one heap, one threshold and one set of cell columns."""
+        t0 = time.perf_counter()
+        first = packs[0]
+        top = search_tries(
+            [(p.trie, p.trajs) for p in packs], qpts, k, measure=first.measure,
+            dqp=ctx.get("dqp"), **first.params,
         )
+        return [time.perf_counter() - t0], top
 
     def summary(self):
         s = super().summary()

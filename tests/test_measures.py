@@ -282,3 +282,36 @@ def test_bounded_wraps_foreign_kernels():
     plain = lambda x, y: calls.append(1) or M.frechet(x, y)  # noqa: E731
     assert M.bounded(plain)(a, b, bound=0.0) == M.frechet(a, b)
     assert calls == [1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_traj, b=_traj)
+def test_hyp_pair_dists_bit_identical(a, b):
+    """The x/y form is bit for bit the squared-difference sum over the
+    last axis."""
+    diff = a[:, None, :] - b[None, :, :]
+    old = np.sqrt((diff * diff).sum(-1))
+    assert np.array_equal(M.pair_dists(a, b), old)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    measure=st.sampled_from(ALL),
+    a=_traj,
+    b=_traj,
+    eps=st.floats(0.5, 40.0),
+    gap=st.tuples(_coords, _coords),
+)
+def test_hyp_lower_bound_below_kernel(measure, a, b, eps, gap):
+    """``get_lower_bound`` is never above the exact distance, bit for
+    bit, in either argument order; Hausdorff has none."""
+    kw = {"eps": eps} if measure in ("edr", "lcss") else {"gap": gap} if measure == "erp" else {}
+    lb = M.get_lower_bound(measure, **kw)
+    if measure == "hausdorff":
+        assert lb is None
+        return
+    fn = M.get_measure(measure, **kw)
+    assert lb(a, b) <= fn(a, b)
+    assert lb(b, a) <= fn(b, a)
+    # it is the first step of the kernel's cascade
+    assert lb(a, b) == fn(a, b, bound=-math.inf)

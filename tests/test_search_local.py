@@ -258,3 +258,27 @@ def test_plain_kernel_same_search(measure, monkeypatch):
         assert getattr(s_bounded, key) == getattr(s_plain, key), key
     pivots = len(PIVOTS) if measure in METRICS else 0
     assert len(calls) == s_plain.exact_computed + pivots
+
+
+@pytest.mark.parametrize("measure", ALL)
+def test_scan_in_bound_order(measure):
+    """``scan_topk`` with the measure's lower bound gives brute force's
+    ids, seeded or not, and stops before the last trajectory (Hausdorff
+    has no bound and refines every trajectory in data order)."""
+    from repro.core.measures import get_lower_bound
+    from repro.core.search import scan_topk
+
+    kw = MEASURE_PARAMS[measure]
+    q = rnd_query(6)
+    fn = get_measure(measure, **kw)
+    lb = get_lower_bound(measure, **kw)
+    ranked = brute_force_topk(DATA.items(), q, 15, measure=measure, **kw)
+    calls = []
+    plain = lambda x, y: calls.append(1) or fn(x, y)  # noqa: E731
+    for k, d_k in ((10, np.inf), (10, ranked[12]), (15, ranked[8])):
+        exp = [r for r in ranked if r < d_k][:k] if isinstance(d_k, tuple) else ranked[:k]
+        assert_same_topk(scan_topk(fn, DATA.items(), q, k, d_k=d_k, lower_bound=lb), exp)
+        calls.clear()
+        assert_same_topk(scan_topk(plain, DATA.items(), q, k, d_k=d_k, lower_bound=lb), exp)
+        # a plain kernel refines in full, so only the bound order saves calls
+        assert len(calls) == len(DATA) if lb is None else len(calls) < len(DATA)

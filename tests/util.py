@@ -47,12 +47,12 @@ def assert_same_topk(got, exp, tol=1e-9) -> None:
 
 def assert_exact_ids(index, trajs, queries, k, measure) -> None:
     """Each answer's ids are the first k by ``(dist, tid)`` of brute force,
-    and every pack reported a local search time."""
+    and every Spark task reported a local search time."""
     for _, q in queries:
         got = index.query(q, k)
         exp = brute_force_topk(trajs, q, k, measure=measure)
         assert [t for _, t in got] == [t for _, t in exp]
-        assert len(index.last_local_times) == index.n_partitions
+        assert len(index.last_local_times) == index.rdd.getNumPartitions()
 
 
 def assert_packs_per_task(spark, index) -> None:
