@@ -85,7 +85,7 @@ def timed_queries(algo_obj, queries, k: int) -> dict:
             algo_obj.query(q, k)
         if qi > 0:
             wall.append(algo_obj.last_query_time)
-            local.append(getattr(algo_obj, "last_local_max", 0.0))
+            local.append(algo_obj.last_local_max)
     return {"wall": float(np.mean(wall)), "local": float(np.mean(local))}
 
 

@@ -9,7 +9,8 @@ take the k-th smallest (this is why the paper calls DFT's query time
 range traversal: segments within θ of the query are "near"; a trajectory
 is a candidate iff *all* of its segments are near (valid for Hausdorff /
 Frechet / DTW: every data point must be within distance ≤ the true
-distance of some query point). Candidates are refined exactly.
+distance of some query point). Each Spark task refines the candidates of
+all its partitions exactly, in one scan.
 
 Space accounting mirrors DFT-RB+DI's documented blow-up: per-segment MBRs
 + a duplicated segment endpoint store (the "regrouping" copy) + the dual
@@ -25,10 +26,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.baselines.rtree import STRtree
 from repro.baselines.theta import ThetaTopK
 from repro.core.measures import get_lower_bound, get_measure
-from repro.core.search import scan_topk
-from repro.dist.framework import LocalPack
-
-_POINT_BYTES = 16
+from repro.dist.framework import POINT_BYTES, LocalPack
 
 
 class DftPack(LocalPack):
@@ -56,36 +54,30 @@ class DftPack(LocalPack):
         self.seg_tid = (
             np.concatenate(seg_tid) if seg_tid else np.zeros(0, dtype=np.int64)
         )
-        tids = np.array(sorted(self.trajs), dtype=np.int64)
-        self.tid_index = {int(t): i for i, t in enumerate(tids)}
-        self.tids = tids
-        self.seg_count = np.zeros(len(tids), dtype=np.int64)
-        for t in self.seg_tid:
-            self.seg_count[self.tid_index[int(t)]] += 1
+        self.tids = np.array(sorted(self.trajs), dtype=np.int64)
+        self.seg_count = self._count(self.seg_tid)
         self.tree = STRtree(self.seg_mbrs)
         n_points = sum(len(p) for p in self.trajs.values())
         # raw + MBRs + duplicated segment endpoints (dual index / regroup
         # copy, 2 endpoints × 16B) + tree + tid map
         idx_bytes = (
-            n_points * _POINT_BYTES
+            n_points * POINT_BYTES
             + self.seg_mbrs.nbytes
-            + len(self.seg_mbrs) * 2 * _POINT_BYTES
+            + len(self.seg_mbrs) * 2 * POINT_BYTES
             + self.tree.nbytes
             + self.seg_tid.nbytes
         )
         super().__init__(pid, len(trajs), time.perf_counter() - t0, idx_bytes)
 
-    def search(self, qpts, k, ctx, kth):
-        theta = ctx["theta"]
-        near = self.tree.query_near(qpts, theta, self.seg_mbrs)
-        near_count = np.zeros(len(self.tids), dtype=np.int64)
-        for t in self.seg_tid[near]:
-            near_count[self.tid_index[int(t)]] += 1
-        cand = self.tids[near_count == self.seg_count].tolist()
-        return scan_topk(
-            self.fn, ((t, self.trajs[t]) for t in cand), qpts, k, d_k=kth,
-            lower_bound=self.lower_bound,
-        )
+    def _count(self, seg_tids: np.ndarray) -> np.ndarray:
+        """Segments per trajectory of ``seg_tids``, in ``self.tids`` order."""
+        return np.bincount(np.searchsorted(self.tids, seg_tids), minlength=len(self.tids))
+
+    def candidates(self, qpts, ctx):
+        """The trajectories whose segments are all within θ of the query."""
+        near = self.tree.query_near(qpts, ctx["theta"], self.seg_mbrs)
+        near_count = self._count(self.seg_tid[near])
+        return [(t, self.trajs[t]) for t in self.tids[near_count == self.seg_count].tolist()]
 
 
 class Dft(ThetaTopK):

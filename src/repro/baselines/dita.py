@@ -29,10 +29,8 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.theta import ThetaTopK
 from repro.core.measures import get_lower_bound, get_measure
-from repro.core.search import scan_topk
-from repro.dist.framework import LocalPack
+from repro.dist.framework import POINT_BYTES, LocalPack
 
-_POINT_BYTES = 16
 _GRID = 8  # per-level grouping grid (g × g cells per trie node)
 
 SUPPORTED = frozenset({"frechet", "dtw", "edr", "lcss"})
@@ -130,7 +128,7 @@ class DitaPack(LocalPack):
         n_points = sum(len(p) for p in self.trajs.values())
         n_nodes = self._count_nodes(self.trie)
         idx_bytes = (
-            n_points * _POINT_BYTES
+            n_points * POINT_BYTES
             + reps.nbytes                  # fixed-length representatives
             + n_nodes * (4 * 8 + 16)       # node MBR + bookkeeping
         )
@@ -145,9 +143,14 @@ class DitaPack(LocalPack):
         s["first_mbr"] = self.first_mbr
         return s
 
-    def _candidates(self, qpts: np.ndarray, theta: float) -> list[int]:
+    def candidates(self, qpts, ctx):
+        """The trajectories whose trie path survives θ, or none when the
+        global index pruned the pid."""
+        if self.pid in ctx["skip"]:
+            return []
+        theta = ctx["theta"]
         q_first, q_last = qpts[0], qpts[-1]
-        out: list[int] = []
+        out = []
         stack = [(self.trie, 0)]
         while stack:
             node, depth = stack.pop()
@@ -164,22 +167,10 @@ class DitaPack(LocalPack):
                 if d > theta:
                     continue
                 if depth == self.n_pp - 1:
-                    out.extend(child.tids)
+                    out.extend((t, self.trajs[t]) for t in child.tids)
                 else:
                     stack.append((child, depth + 1))
         return out
-
-    def search(self, qpts, k, ctx, kth):
-        if self.pid in ctx.get("skip", ()):  # global partition pruning
-            return []
-        theta = ctx["theta"]
-        cand = self._candidates(qpts, theta)
-        # (θ, ∞) admits every distance ≤ θ
-        d_k = min(kth, (theta, math.inf))
-        return scan_topk(
-            self.fn, ((t, self.trajs[t]) for t in cand), qpts, k, d_k=d_k,
-            lower_bound=self.lower_bound,
-        )
 
 
 class Dita(ThetaTopK):
@@ -219,9 +210,11 @@ class Dita(ThetaTopK):
         )
 
     def query_ctx(self, qpts, k, seed=0):
+        ctx = super().query_ctx(qpts, k, seed=seed)
+        # (θ, ∞) seeds each task's threshold: it admits every distance ≤ θ
+        ctx["d_k"] = (ctx["theta"], math.inf)
         # global index: prune partitions whose first-point MBR is farther
         # than θ from the query's first point
-        ctx = super().query_ctx(qpts, k, seed=seed)
         ctx["skip"] = frozenset(
             s["pid"]
             for s in self.summaries

@@ -1,19 +1,17 @@
 """LS baseline (paper §VII-A): per-partition brute-force linear scan.
 
-Refines every trajectory of each partition against the query (same
-kernels and the same bounded refine as every other algorithm) and merges
-the per-partition top-k lists on the driver. No index: IS and IT are "/" in
+Each Spark task refines every trajectory of its partitions against the
+query in one scan (the same kernels and bounded refine as every other
+algorithm), and the driver merges the per-task top-k lists. No index: IS and IT are "/" in
 the paper's tables (we report the trivial pack-build time for honesty).
 """
 from __future__ import annotations
 
 import time
 
-import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.measures import get_lower_bound, get_measure
-from repro.core.search import scan_topk
 from repro.dist.framework import DistributedTopK, LocalPack
 
 
@@ -26,8 +24,8 @@ class LsPack(LocalPack):
         self.lower_bound = get_lower_bound(cfg["measure"], **kw)
         super().__init__(pid, len(trajs), time.perf_counter() - t0, 0)
 
-    def search(self, qpts, k, ctx, kth):
-        return scan_topk(self.fn, self.trajs, qpts, k, d_k=kth, lower_bound=self.lower_bound)
+    def candidates(self, qpts, ctx):
+        return self.trajs
 
 
 class Ls(DistributedTopK):

@@ -325,8 +325,8 @@ class TopK:
 
     ``dist``/``tid`` is the threshold: the seed until ``k`` candidates are
     in, then the k-th of them. A float seed ``x`` admits only distances
-    below ``x``; a ``(dist, tid)`` seed, such as the k-th carried over
-    from other packs, also admits ``dist`` itself with a smaller tid.
+    below ``x``; a ``(dist, tid)`` seed also admits ``dist`` itself with a
+    smaller tid, so DITA's ``(θ, inf)`` admits every distance up to θ.
     """
 
     __slots__ = ("k", "heap", "dist", "tid")
@@ -530,8 +530,9 @@ def scan_topk(
 ) -> list[tuple[float, int]]:
     """The first ``k`` ``(dist, tid)`` below ``d_k`` (as in
     :func:`search_tries`) of ``trajs``, each refined by kernel ``fn`` with
-    the running k-th distance as its ``bound``: the refine the LS, DFT
-    and DITA packs share with REPOSE. With the measure's
+    the running k-th distance as its ``bound``, as REPOSE refines: the
+    one local search of an LS, DFT or DITA task, over the candidates of
+    all its packs (``LocalPack.search_task``). With the measure's
     ``lower_bound`` (``measures.get_lower_bound``) the refines run in the
     order of that bound, as REPOSE's do, and stop once the next bound is
     above the k-th distance; without one, in the order given."""

@@ -14,14 +14,16 @@ the cores, and every Spark task costs a fixed scheduling floor per query,
 so the N_G packs are placed on ``min(N_G, cores)`` Spark partitions by
 ``pid % n_tasks``: each task builds, and later searches, the packs it
 owns. The pack, not the Spark partition, stays the unit of partitioning
-strategy and summaries; the task is the unit of local search, as the
-paper runs one local search per core (§IV). A task hands its packs, in
-pid order, to their class's ``LocalPack.search_task``: REPOSE searches
-them as one best-first traversal, and by default each pack searches in
-turn from the task's running k-th ``(dist, tid)``, so a later pack
-starts from that threshold rather than from infinity. The threshold is
-tie-exact, so the answer is still the first k by ``(dist, tid)``. Local
-times are per task, since a task, not a pack, sets the stage latency.
+strategy and summaries; the task is the only unit of local search, as
+the paper runs one local search per core that prunes against its own
+running k-th (§IV). A task hands its packs, in pid order, to their
+class's ``LocalPack.search_task``, which returns the task's top-k:
+REPOSE searches them as one best-first traversal, and by default every
+pack's ``candidates`` are refined in one ``scan_topk``, with one sort by
+lower bound and one threshold. The threshold is tie-exact, so the
+answer is still the first k by ``(dist, tid)``. Local times are per
+task, timed around ``search_task``, since a task, not a pack, sets the
+stage latency.
 
 The cached ``RDD[LocalPack]`` is the only pack cache. PySpark caches its
 elements as pickled bytes, where the paper's Scala ``RDD[RpTraj]`` holds
@@ -58,14 +60,19 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.partition import assign_partitions, dataset_bounds
-from repro.core.search import check_k
+from repro.core.search import check_k, scan_topk
+
+#: raw trajectory storage cost (2 float64 coords/point), counted in IS
+POINT_BYTES = 16
 
 
 class LocalPack:
     """Per-partition package: trajectories + a local index (`RpTraj`).
 
-    Subclasses implement ``search``; ``stats`` reports the per-partition
-    build time and index size used for the paper's IT / IS metrics.
+    Subclasses implement ``candidates`` and set the kernel ``fn`` and its
+    ``lower_bound`` that the default ``search_task`` refines with, or
+    override ``search_task``; ``summary`` reports the per-partition build
+    time and index size used for the paper's IT / IS metrics.
     """
 
     def __init__(self, pid: int, n_trajs: int, build_secs: float, index_bytes: int):
@@ -74,33 +81,27 @@ class LocalPack:
         self.build_secs = build_secs
         self.index_bytes = index_bytes
 
-    def search(
-        self, qpts: np.ndarray, k: int, ctx: dict, kth: tuple[float, int]
-    ) -> list[tuple[float, int]]:
-        """The pack's first ``k`` ``(dist, tid)`` that sort before
-        ``kth``, the running k-th of the packs its task searched before."""
+    def candidates(self, qpts: np.ndarray, ctx: dict) -> list[tuple[int, np.ndarray]]:
+        """The pack's ``(tid, pts)`` that its index does not rule out."""
         raise NotImplementedError
 
     @classmethod
     def search_task(cls, packs: list, qpts: np.ndarray, k: int, ctx: dict):
         """One task's local search over its ``packs`` (pid order): the
-        seconds of each search it ran and the task's top-k.
+        task's top-k.
 
-        By default each pack ``search``es in turn against the task's
-        running k-th ``(dist, tid)`` (``NO_KTH`` first), as the paper's
-        one local search per core prunes against its running k-th
-        (§IV), so a later pack starts from that threshold rather than
-        from infinity. A subclass may search all the packs as one.
+        By default the ``candidates`` of every pack are refined in one
+        ``scan_topk`` with the packs' kernel and lower bound, seeded by
+        ``ctx["d_k"]`` when the query has one, so the task makes one
+        sort by lower bound and prunes against one running k-th, as the
+        paper's one local search per core does (§IV). A subclass may
+        search the packs as one in its own way.
         """
-        times, top, kth = [], [], NO_KTH
-        for pack in packs:
-            t0 = time.perf_counter()
-            res = pack.search(qpts, k, ctx, kth)
-            times.append(time.perf_counter() - t0)
-            top = sorted(top + res)[:k]
-            if len(top) == k:
-                kth = top[-1]
-        return times, top
+        first = packs[0]
+        return scan_topk(
+            first.fn, [c for p in packs for c in p.candidates(qpts, ctx)], qpts, k,
+            d_k=ctx.get("d_k", math.inf), lower_bound=first.lower_bound,
+        )
 
     def summary(self) -> dict:
         """Driver-visible build metadata (global index info goes here)."""
@@ -123,18 +124,6 @@ def drop_zip_finders() -> None:
     for path, finder in list(cache.items()):
         if isinstance(finder, zipimport.zipimporter):
             del cache[path]
-
-
-#: the threshold before a task has k candidates: everything sorts before it
-NO_KTH = (math.inf, math.inf)
-
-
-def search_packs(packs, qpts: np.ndarray, k: int, ctx: dict):
-    """One task's local search: its packs, in pid order as the build
-    task yields them, handed to their class's ``search_task``. Returns
-    the seconds of each search it ran and the task's top-k."""
-    packs = list(packs)
-    return type(packs[0]).search_task(packs, qpts, k, ctx)
 
 
 def _rows_to_trajs(rows) -> list[tuple[int, np.ndarray]]:
@@ -209,13 +198,13 @@ class DistributedTopK:
         self.last_query_time = 0.0
 
     def query_ctx(self, qpts: np.ndarray, k: int) -> dict:
-        """What every pack's search receives besides the query and k: a
+        """What every task's search receives besides the query and k: a
         subclass computes it on the driver, once per query."""
         return {}
 
     def query(self, qpts: np.ndarray, k: int, **kw) -> list[tuple[float, int]]:
         """Distributed top-k: one ``mapPartitions`` task per Spark
-        partition searches its packs (``search_packs``); the driver
+        partition searches its packs (``LocalPack.search_task``); the driver
         merges the tasks' top-k lists into the first k by ``(dist,
         tid)``. ``kw`` go to ``query_ctx``, whose time counts in the
         query's.
@@ -233,10 +222,13 @@ class DistributedTopK:
 
         def run(packs):
             drop_zip_finders()
-            yield search_packs(packs, q, k, ctx)
+            packs = list(packs)
+            t0 = time.perf_counter()
+            top = type(packs[0]).search_task(packs, q, k, ctx)
+            yield time.perf_counter() - t0, top
 
         out = self.rdd.mapPartitions(run).collect()
-        self.last_local_times = [sum(times) for times, _ in out]
+        self.last_local_times = [secs for secs, _ in out]
         self.last_local_max = max(self.last_local_times, default=0.0)
         merged = sorted(r for _, top in out for r in top)[:k]
         self.last_query_time = time.perf_counter() - t0

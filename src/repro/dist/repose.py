@@ -13,10 +13,7 @@ from repro.core.rptrie import RPTrie
 from repro.core.search import search_tries
 from repro.core.succinct import trie_size_bytes
 from repro.core.zorder import Grid
-from repro.dist.framework import DistributedTopK, LocalPack, sample_trajectories
-
-#: raw trajectory storage cost (2 float64 coords/point) — counted in IS
-_POINT_BYTES = 16
+from repro.dist.framework import POINT_BYTES, DistributedTopK, LocalPack, sample_trajectories
 
 
 class ReposePack(LocalPack):
@@ -43,7 +40,7 @@ class ReposePack(LocalPack):
         )
         self.trie.build(trajs, mode=cfg["trie_mode"])
         n_points = sum(len(p) for p in self.trajs.values())
-        idx_bytes = trie_size_bytes(self.trie) + n_points * _POINT_BYTES
+        idx_bytes = trie_size_bytes(self.trie) + n_points * POINT_BYTES
         super().__init__(pid, len(trajs), time.perf_counter() - t0, idx_bytes)
         self.node_count = self.trie.node_count()
 
@@ -51,13 +48,11 @@ class ReposePack(LocalPack):
     def search_task(cls, packs, qpts, k, ctx):
         """All of a task's packs as one best-first search (``search_tries``):
         one heap, one threshold and one set of cell columns."""
-        t0 = time.perf_counter()
         first = packs[0]
-        top = search_tries(
+        return search_tries(
             [(p.trie, p.trajs) for p in packs], qpts, k, measure=first.measure,
             dqp=ctx.get("dqp"), **first.params,
         )
-        return [time.perf_counter() - t0], top
 
     def summary(self):
         s = super().summary()

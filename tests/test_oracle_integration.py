@@ -7,6 +7,10 @@ result sets. For Frechet/DTW (recursive DP, not expressible in portable
 SQL) an independent pure-Python reference computes the distance table
 and DuckDB performs the top-k selection over it — checking the
 ranking/merge logic of the distributed pipeline.
+
+Each check runs for every system that supports the measure: REPOSE, LS
+and DFT for Hausdorff, the four for Frechet (DITA has no Hausdorff), and
+REPOSE for DTW.
 """
 from __future__ import annotations
 
@@ -16,11 +20,24 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro import synth_data
+from repro.baselines.dft import Dft
+from repro.baselines.dita import Dita
+from repro.baselines.ls import Ls
 from repro.core.measures_ref import dtw_ref, frechet_ref
 from repro.dist.repose import Repose
 from repro.oracle import assert_equivalent
 
 K = 8
+#: the systems each DP measure's check runs
+DP_SYSTEMS = {"frechet": ("repose", "ls", "dft", "dita"), "dtw": ("repose",)}
+
+
+def build(spark, df, system, measure):
+    if system == "repose":
+        return Repose(spark, df, measure=measure, delta=0.15, n_partitions=4)
+    return {"ls": Ls, "dft": Dft, "dita": Dita}[system](
+        spark, df, measure=measure, n_partitions=4
+    )
 
 HAUSDORFF_TOPK_SQL = """
 WITH d AS (
@@ -45,24 +62,28 @@ def points_pdf(tdrive_smoke):
 
 
 @pytest.fixture(scope="module")
-def repose_h(spark, tdrive_smoke):
-    return Repose(spark, tdrive_smoke, measure="hausdorff", delta=0.15, n_partitions=4)
+def hausdorff_indexes(spark, tdrive_smoke):
+    indexes = {s: build(spark, tdrive_smoke, s, "hausdorff") for s in ("repose", "ls", "dft")}
+    yield indexes
+    for index in indexes.values():
+        index.unpersist()
 
 
 @pytest.mark.parametrize("qi", [0, 1, 2])
-def test_hausdorff_topk_vs_duckdb(spark, repose_h, points_pdf, tdrive_queries, qi):
+def test_hausdorff_topk_vs_duckdb(spark, hausdorff_indexes, points_pdf, tdrive_queries, qi):
     """Full result check: DuckDB recomputes Hausdorff from raw points."""
     _, q = tdrive_queries[qi]
-    got = repose_h.query(q, K)
-    got_df = spark.createDataFrame(
-        [(int(t), float(d)) for d, t in got], "tid long, dist double"
-    )
     qpdf = pd.DataFrame(
         {"seq": np.arange(len(q)), "x": q[:, 0], "y": q[:, 1]}
     )
-    assert_equivalent(
-        got_df, HAUSDORFF_TOPK_SQL.format(k=K), pts=points_pdf, qpts=qpdf
-    )
+    for index in hausdorff_indexes.values():
+        got = index.query(q, K)
+        got_df = spark.createDataFrame(
+            [(int(t), float(d)) for d, t in got], "tid long, dist double"
+        )
+        assert_equivalent(
+            got_df, HAUSDORFF_TOPK_SQL.format(k=K), pts=points_pdf, qpts=qpdf
+        )
 
 
 @pytest.mark.parametrize("measure,ref", [("frechet", frechet_ref), ("dtw", dtw_ref)])
@@ -71,23 +92,24 @@ def test_dp_measures_topk_vs_duckdb(
 ):
     """Reference DP computes distances; DuckDB ranks and truncates."""
     _, q = tdrive_queries[0]
-    rep = Repose(spark, tdrive_smoke, measure=measure, delta=0.15, n_partitions=4)
-    got = rep.query(q, K)
-    got_df = spark.createDataFrame(
-        [(int(t), float(d)) for d, t in got], "tid long, dist double"
-    )
     dists = pd.DataFrame(
         {
             "tid": [t for t, _ in tdrive_trajs],
             "dist": [ref(q, pts) for t, pts in tdrive_trajs],
         }
     )
-    assert_equivalent(
-        got_df,
-        f"SELECT tid, dist FROM dists ORDER BY dist, tid LIMIT {K}",
-        dists=dists,
-    )
-    rep.unpersist()
+    for system in DP_SYSTEMS[measure]:
+        index = build(spark, tdrive_smoke, system, measure)
+        got = index.query(q, K)
+        index.unpersist()
+        got_df = spark.createDataFrame(
+            [(int(t), float(d)) for d, t in got], "tid long, dist double"
+        )
+        assert_equivalent(
+            got_df,
+            f"SELECT tid, dist FROM dists ORDER BY dist, tid LIMIT {K}",
+            dists=dists,
+        )
 
 
 def test_oracle_rejects_wrong_result(spark, points_pdf, tdrive_queries):

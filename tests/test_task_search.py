@@ -1,21 +1,26 @@
-"""One best-first search over all the packs of a Spark task
-(``search_tries`` through ``ReposePack.search_task``): exact ids against
-brute force for all six measures, and the benchmark's counting replay of
-the same packs.
+"""One local search over all the packs of a Spark task
+(``LocalPack.search_task``): exact ids against brute force for REPOSE's
+best-first search (``search_tries``) in all six measures and for the
+default scan of the LS, DFT and DITA packs, and the benchmark's counting
+replay of the same REPOSE packs.
 
-The packs of a case differ in size, so they differ in ``pivot_slack``
-(their largest leaf ``D_max``), and one of them is empty.
+The packs of a case differ in size, so REPOSE's differ in
+``pivot_slack`` (their largest leaf ``D_max``), and one of them is
+empty.
 """
 from __future__ import annotations
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.baselines.dft import Dft, DftPack
+from repro.baselines.dita import Dita, DitaPack
+from repro.baselines.ls import LsPack
 from repro.core.measures import METRICS, get_measure
 from repro.core.search import SearchStats, brute_force_topk, search_topk, search_tries
 from repro.core.zorder import Grid
-from repro.dist.framework import search_packs
 from repro.dist.repose import ReposePack
 from tests.util import ALL, MEASURE_PARAMS, assert_same_topk, rnd_dataset, rnd_query
 
@@ -25,13 +30,24 @@ DATA = rnd_dataset(7, 160)
 PIVOTS = [DATA[3].copy(), DATA[77].copy()]
 #: tid % 6 → pack: sizes 3/6, 1/6, 0 and 2/6 of the data
 SPLIT = {0: 0, 1: 0, 2: 0, 3: 1, 4: 3, 5: 3}
+#: the systems whose packs each measure's task search runs: REPOSE and LS
+#: for all six, DFT for Hausdorff and Frechet, DITA for Frechet
+SYSTEMS = {
+    m: ("repose", "ls") + (("dft",) if m in ("hausdorff", "frechet") else ())
+    + (("dita",) if m == "frechet" else ())
+    for m in ALL
+}
+PACKS = {"repose": ReposePack, "ls": LsPack, "dft": DftPack, "dita": DitaPack}
+#: the systems whose queries hand the tasks a ``ctx`` of their own
+INDEXES = {"dft": Dft, "dita": Dita}
 
 
-def task_packs(measure):
+def task_packs(measure, system="repose"):
     kw = MEASURE_PARAMS[measure]
     parts = [[] for _ in range(4)]
     for t, pts in DATA.items():
         parts[SPLIT[t % 6]].append((t, pts))
+    pts = np.concatenate(list(DATA.values()))
     cfg = {
         "measure": measure,
         "grid": GRID,
@@ -39,27 +55,44 @@ def task_packs(measure):
         "pivots": PIVOTS,
         "eps": kw.get("eps"),
         "gap": kw.get("gap"),
+        "n_pp": 4,
+        "bounds": (*pts.min(0), *pts.max(0)),
     }
-    return [ReposePack(pid, part, cfg) for pid, part in enumerate(parts)]
+    return [PACKS[system](pid, part, cfg) for pid, part in enumerate(parts)]
+
+
+def task_ctx(system, measure, packs, q, k):
+    """The ``ctx`` a query hands the packs' tasks: for DFT and DITA their
+    index's own ``query_ctx`` (θ, and DITA's seed and skipped pids), with
+    the whole data set as the θ sample, as an index of fewer
+    trajectories than its ``sample_pool`` keeps."""
+    if system not in INDEXES:
+        return {}
+    index = INDEXES[system].__new__(INDEXES[system])
+    index.fn = get_measure(measure, **MEASURE_PARAMS[measure])
+    index.pool = list(DATA.items())
+    index.summaries = [p.summary() for p in packs]
+    return index.query_ctx(q, k)
 
 
 @pytest.mark.parametrize("measure", ALL)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_task_search_exact_ids(measure, seed):
-    """Several packs, one empty, with different pivot slacks, in either
-    order; k from 1 to above the task's trajectory count."""
+    """Several packs of each system, one empty, in either order (REPOSE's
+    with different pivot slacks); k from 1 to above the task's
+    trajectory count."""
     kw = MEASURE_PARAMS[measure]
-    packs = task_packs(measure)
-    assert packs[2].n_trajs == 0
-    if measure in METRICS:
-        assert len({p.trie.pivot_slack for p in packs if p.n_trajs}) == 3
     q = rnd_query(seed)
-    for k in (1, 10, len(DATA) + 5):
-        exp = brute_force_topk(DATA.items(), q, k, measure=measure, **kw)
-        for order in (packs, packs[::-1]):
-            times, top = search_packs(order, q, k, {})
-            assert len(times) == 1
-            assert_same_topk(top, exp)
+    for system in SYSTEMS[measure]:
+        packs = task_packs(measure, system)
+        assert packs[2].n_trajs == 0
+        if system == "repose" and measure in METRICS:
+            assert len({p.trie.pivot_slack for p in packs if p.n_trajs}) == 3
+        for k in (1, 10, len(DATA) + 5):
+            exp = brute_force_topk(DATA.items(), q, k, measure=measure, **kw)
+            ctx = task_ctx(system, measure, packs, q, k)
+            for order in (packs, packs[::-1]):
+                assert_same_topk(type(order[0]).search_task(order, q, k, ctx), exp)
 
 
 @pytest.mark.parametrize("measure", ALL)

@@ -4,18 +4,19 @@ trajectories sit at the k-th distance.
 Each case duplicates the trajectory at the k-th place of the answer
 under a smaller and a larger free tid, so the k-th place must go to the
 smaller copy. The copies are placed three ways, as the framework can
-meet them: in one pack, in two packs of one task (REPOSE searches them
-as one; LS, DFT and DITA in turn, the second starting from the first's
-k-th), and in two tasks whose top-k lists only the driver merges. Locally for all six measures, then through
-Spark for REPOSE, LS, DFT and DITA.
+meet them: in one pack, in two packs of one task (one local search over
+both: REPOSE's best-first traversal, or the one ``scan_topk`` over
+every pack's candidates of LS, DFT and DITA), and in two tasks whose
+top-k lists only the driver merges. Locally for all six measures, then
+through Spark for REPOSE, LS, DFT and DITA.
 """
 from __future__ import annotations
 
 import pytest
 
+from repro.baselines.ls import LsPack
 from repro.core.search import brute_force_topk, search_topk
 from repro.core.zorder import Grid
-from repro.dist.framework import NO_KTH, LocalPack, search_packs
 from repro.dist.repose import ReposePack
 from tests.util import ALL, MEASURE_PARAMS, assert_same_topk, rnd_dataset, rnd_query
 
@@ -48,6 +49,10 @@ def pack(pid, trajs, measure):
     })
 
 
+def ls_pack(pid, trajs, measure):
+    return LsPack(pid, list(trajs.items()), {"measure": measure, **MEASURE_PARAMS[measure]})
+
+
 def split(data, kth, lo):
     """Two halves of ``data``: the original k-th answer in the first and
     its smaller copy in the second, the rest alternating by tid."""
@@ -74,15 +79,15 @@ def test_ties_in_one_pack(measure, seed):
 @pytest.mark.parametrize("measure", ALL)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_ties_in_two_packs_of_one_task(measure, seed):
-    """Either pack first: the task searches both as one."""
+    """REPOSE and LS packs, either pack first: the task searches both
+    as one."""
     data, q, kth, lo, _ = with_copies(measure, seed)
     a, b = split(data, kth, lo)
     exp = brute_force_topk(data.items(), q, K, measure=measure, **MEASURE_PARAMS[measure])
-    packs = [pack(0, a, measure), pack(1, b, measure)]
-    for order in (packs, packs[::-1]):
-        times, top = search_packs(order, q, K, {})
-        assert len(times) == 1
-        assert_same_topk(top, exp)
+    for make in (pack, ls_pack):
+        packs = [make(0, a, measure), make(1, b, measure)]
+        for order in (packs, packs[::-1]):
+            assert_same_topk(type(order[0]).search_task(order, q, K, {}), exp)
 
 
 @pytest.mark.parametrize("measure", ALL)
@@ -92,34 +97,8 @@ def test_ties_in_two_tasks(measure, seed):
     data, q, kth, lo, _ = with_copies(measure, seed)
     a, b = split(data, kth, lo)
     exp = brute_force_topk(data.items(), q, K, measure=measure, **MEASURE_PARAMS[measure])
-    tops = [search_packs([pack(pid, half, measure)], q, K, {})[1] for pid, half in enumerate((a, b))]
+    tops = [ReposePack.search_task([pack(pid, half, measure)], q, K, {}) for pid, half in enumerate((a, b))]
     assert_same_topk(sorted(tops[0] + tops[1])[:K], exp)
-
-
-class _Probe(LocalPack):
-    """A pack that answers a fixed list and records the threshold it got."""
-
-    def __init__(self, pid, answer):
-        super().__init__(pid, len(answer), 0.0, 0)
-        self.answer = answer
-
-    def search(self, qpts, k, ctx, kth):
-        self.kth = kth
-        return [r for r in self.answer if r < kth][:k]
-
-
-def test_search_packs_carries_kth():
-    """The first pack gets no threshold, each later one the running k-th
-    ``(dist, tid)`` of the packs before it, ties included."""
-    packs = [
-        _Probe(0, [(1.0, 4), (2.0, 8), (3.0, 9)]),
-        _Probe(1, [(0.5, 3), (2.0, 6)]),
-        _Probe(2, [(2.0, 7), (2.0, 1)]),
-    ]
-    times, top = search_packs(packs, None, 3, {})
-    assert len(times) == 3
-    assert [p.kth for p in packs] == [NO_KTH, (3.0, 9), (2.0, 6)]
-    assert top == [(0.5, 3), (1.0, 4), (2.0, 1)]
 
 
 # ------------------------------------------------------------ through Spark
