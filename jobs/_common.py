@@ -21,6 +21,7 @@ from repro import synth_data
 from repro.baselines.dft import Dft
 from repro.baselines.dita import Dita
 from repro.baselines.ls import Ls
+from repro.baselines.theta import ThetaTopK
 from repro.dist.repose import Repose
 
 ALGOS = {"REPOSE": Repose, "DITA": Dita, "DFT": Dft, "LS": Ls}
@@ -79,7 +80,7 @@ def timed_queries(algo_obj, queries, k: int) -> dict:
     """
     wall, local = [], []
     for qi, (_, q) in enumerate([queries[0]] + list(queries)):
-        if isinstance(algo_obj, (Dft, Dita)):
+        if isinstance(algo_obj, ThetaTopK):
             algo_obj.query(q, k, seed=qi)
         else:
             algo_obj.query(q, k)

@@ -18,26 +18,18 @@ index + the R-tree + the raw trajectories (≈4× REPOSE, Table IV).
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.rtree import STRtree
 from repro.baselines.theta import ThetaTopK
-from repro.core.measures import get_lower_bound, get_measure
 from repro.dist.framework import POINT_BYTES, LocalPack
 
 
 class DftPack(LocalPack):
-    def __init__(self, pid, trajs, cfg):
-        t0 = time.perf_counter()
-        self.trajs = dict(trajs)
-        kw = {"eps": cfg.get("eps"), "gap": cfg.get("gap")}
-        self.fn = get_measure(cfg["measure"], **kw)
-        self.lower_bound = get_lower_bound(cfg["measure"], **kw)
+    def build(self, cfg):
         seg_mbrs, seg_tid = [], []
-        for tid, pts in trajs:
+        for tid, pts in self.trajs.items():
             a, b = pts[:-1], pts[1:]
             if len(pts) == 1:  # degenerate: a point "segment"
                 a = b = pts
@@ -57,17 +49,15 @@ class DftPack(LocalPack):
         self.tids = np.array(sorted(self.trajs), dtype=np.int64)
         self.seg_count = self._count(self.seg_tid)
         self.tree = STRtree(self.seg_mbrs)
-        n_points = sum(len(p) for p in self.trajs.values())
         # raw + MBRs + duplicated segment endpoints (dual index / regroup
         # copy, 2 endpoints × 16B) + tree + tid map
-        idx_bytes = (
-            n_points * POINT_BYTES
+        return (
+            self.raw_bytes()
             + self.seg_mbrs.nbytes
             + len(self.seg_mbrs) * 2 * POINT_BYTES
             + self.tree.nbytes
             + self.seg_tid.nbytes
         )
-        super().__init__(pid, len(trajs), time.perf_counter() - t0, idx_bytes)
 
     def _count(self, seg_tids: np.ndarray) -> np.ndarray:
         """Segments per trajectory of ``seg_tids``, in ``self.tids`` order."""
@@ -108,7 +98,6 @@ class Dft(ThetaTopK):
             gap=gap,
             sample_pool=sample_pool,
             seed=seed,
-            config={},
             n_partitions=n_partitions,
             strategy=strategy,
             key_mode="centroid",

@@ -22,14 +22,13 @@ unsupported measures, mirroring the "/" cells of Table IV.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.theta import ThetaTopK
-from repro.core.measures import get_lower_bound, get_measure
-from repro.dist.framework import POINT_BYTES, LocalPack
+from repro.core.zorder import points_to_rects_dist
+from repro.dist.framework import LocalPack
 
 _GRID = 8  # per-level grouping grid (g × g cells per trie node)
 
@@ -91,48 +90,28 @@ def _build_trie(reps: np.ndarray, tids: np.ndarray, bounds, n_pp: int):
     return root
 
 
-def _mbr_dist_point(q: np.ndarray, mbr: np.ndarray) -> float:
-    dx = max(mbr[0] - q[0], q[0] - mbr[2], 0.0)
-    dy = max(mbr[1] - q[1], q[1] - mbr[3], 0.0)
-    return float(np.hypot(dx, dy))
-
-
-def _mbr_dist_any(qpts: np.ndarray, mbr: np.ndarray) -> float:
-    dx = np.maximum(np.maximum(mbr[0] - qpts[:, 0], qpts[:, 0] - mbr[2]), 0.0)
-    dy = np.maximum(np.maximum(mbr[1] - qpts[:, 1], qpts[:, 1] - mbr[3]), 0.0)
-    return float(np.sqrt(dx * dx + dy * dy).min())
-
-
 class DitaPack(LocalPack):
-    def __init__(self, pid, trajs, cfg):
-        t0 = time.perf_counter()
-        self.trajs = dict(trajs)
-        kw = {"eps": cfg.get("eps"), "gap": cfg.get("gap")}
-        self.fn = get_measure(cfg["measure"], **kw)
-        self.lower_bound = get_lower_bound(cfg["measure"], **kw)
+    def build(self, cfg):
         self.n_pp = cfg["n_pp"]
-        tids = np.array([t for t, _ in trajs], dtype=np.int64)
+        tids = np.array(list(self.trajs), dtype=np.int64)
         reps = np.stack(
-            [representative(p, self.n_pp) for _, p in trajs]
-        ) if trajs else np.zeros((0, self.n_pp, 2))
+            [representative(p, self.n_pp) for p in self.trajs.values()]
+        ) if self.trajs else np.zeros((0, self.n_pp, 2))
         self.trie = _build_trie(reps, tids, cfg["bounds"], self.n_pp)
         # first-point MBR for the global index
-        if len(trajs):
-            firsts = np.stack([p[0] for _, p in trajs])
+        if self.trajs:
+            firsts = np.stack([p[0] for p in self.trajs.values()])
             self.first_mbr = (
                 float(firsts[:, 0].min()), float(firsts[:, 1].min()),
                 float(firsts[:, 0].max()), float(firsts[:, 1].max()),
             )
         else:
             self.first_mbr = None
-        n_points = sum(len(p) for p in self.trajs.values())
-        n_nodes = self._count_nodes(self.trie)
-        idx_bytes = (
-            n_points * POINT_BYTES
-            + reps.nbytes                  # fixed-length representatives
-            + n_nodes * (4 * 8 + 16)       # node MBR + bookkeeping
+        return (
+            self.raw_bytes()
+            + reps.nbytes  # fixed-length representatives
+            + self._count_nodes(self.trie) * (4 * 8 + 16)  # node MBR + bookkeeping
         )
-        super().__init__(pid, len(trajs), time.perf_counter() - t0, idx_bytes)
 
     @staticmethod
     def _count_nodes(node) -> int:
@@ -149,7 +128,7 @@ class DitaPack(LocalPack):
         if self.pid in ctx["skip"]:
             return []
         theta = ctx["theta"]
-        q_first, q_last = qpts[0], qpts[-1]
+        last = self.n_pp - 1
         out = []
         stack = [(self.trie, 0)]
         while stack:
@@ -158,15 +137,10 @@ class DitaPack(LocalPack):
                 # level-specific pruning: endpoints align under Frechet/
                 # DTW couplings; interior pivots must be near *some*
                 # query point
-                if depth == 0:
-                    d = _mbr_dist_point(q_first, child.mbr)
-                elif depth == self.n_pp - 1:
-                    d = _mbr_dist_point(q_last, child.mbr)
-                else:
-                    d = _mbr_dist_any(qpts, child.mbr)
-                if d > theta:
+                near = qpts[:1] if depth == 0 else qpts[-1:] if depth == last else qpts
+                if points_to_rects_dist(near, child.mbr).min() > theta:
                     continue
-                if depth == self.n_pp - 1:
+                if depth == last:
                     out.extend((t, self.trajs[t]) for t in child.tids)
                 else:
                     stack.append((child, depth + 1))
@@ -219,6 +193,6 @@ class Dita(ThetaTopK):
             s["pid"]
             for s in self.summaries
             if s.get("first_mbr") is not None
-            and _mbr_dist_point(qpts[0], np.asarray(s["first_mbr"])) > ctx["theta"]
+            and points_to_rects_dist(qpts[0], s["first_mbr"]).min() > ctx["theta"]
         )
         return ctx

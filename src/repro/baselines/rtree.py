@@ -12,14 +12,7 @@ import math
 
 import numpy as np
 
-
-def min_qdist_to_rects(qpts: np.ndarray, rects: np.ndarray) -> np.ndarray:
-    """min over query points of Euclidean point-to-rect distance, per rect."""
-    qx = qpts[:, 0][:, None]
-    qy = qpts[:, 1][:, None]
-    dx = np.maximum(np.maximum(rects[None, :, 0] - qx, qx - rects[None, :, 2]), 0.0)
-    dy = np.maximum(np.maximum(rects[None, :, 1] - qy, qy - rects[None, :, 3]), 0.0)
-    return np.sqrt(dx * dx + dy * dy).min(axis=0)
+from repro.core.zorder import points_to_rects_dist
 
 
 class STRtree:
@@ -84,14 +77,14 @@ class STRtree:
             return np.zeros(0, dtype=np.int64)
         top_mbrs, _ = self.levels[-1]
         frontier = np.arange(len(top_mbrs))
-        frontier = frontier[min_qdist_to_rects(qpts, top_mbrs) < theta]
+        frontier = frontier[points_to_rects_dist(qpts, top_mbrs).min(axis=0) < theta]
         for li in range(len(self.levels) - 1, 0, -1):
             _, offs = self.levels[li]
             child_ids = np.concatenate(
                 [np.arange(offs[j], offs[j + 1]) for j in frontier]
             ) if len(frontier) else np.zeros(0, dtype=np.int64)
             child_mbrs = self.levels[li - 1][0][child_ids]
-            keep = min_qdist_to_rects(qpts, child_mbrs) < theta
+            keep = points_to_rects_dist(qpts, child_mbrs).min(axis=0) < theta
             frontier = child_ids[keep]
             if len(frontier) == 0:
                 return np.zeros(0, dtype=np.int64)
@@ -103,5 +96,5 @@ class STRtree:
             [np.arange(offs[j], offs[j + 1]) for j in frontier]
         )
         cand = self.perm[entry_pos]
-        keep = min_qdist_to_rects(qpts, entry_mbrs[cand]) < theta
+        keep = points_to_rects_dist(qpts, entry_mbrs[cand]).min(axis=0) < theta
         return cand[keep]

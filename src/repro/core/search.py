@@ -72,7 +72,7 @@ from .measures import (
 )
 from .pivots import query_pivot_dists
 from .rptrie import RPTrie
-from .zorder import Grid, points_to_rect_dist
+from .zorder import Grid, points_to_rects_dist
 
 
 class _Columns(dict):
@@ -114,7 +114,7 @@ def _cell_rect(grid: Grid, z: int) -> tuple[float, float, float, float]:
 
 def _cell_dists(qpts: np.ndarray, grid: Grid, z: int) -> np.ndarray:
     """d'(q_i, cell): 0 inside the cell (§VI-B)."""
-    return points_to_rect_dist(qpts, _cell_rect(grid, z))
+    return points_to_rects_dist(qpts, _cell_rect(grid, z))[:, 0]
 
 
 class _HausdorffEngine:
@@ -262,12 +262,11 @@ def make_engine(
         # d'(cell, g) ≤ d(p_j, g)
         g = np.asarray((0.0, 0.0) if gap is None else gap, dtype=float)
         ga = np.sqrt(((qpts - g) ** 2).sum(1)).tolist()
+        qg = np.vstack([qpts, g])
 
         def column(z):
-            rect = _cell_rect(grid, z)
-            dx = max(rect[0] - g[0], g[0] - rect[2], 0.0)
-            dy = max(rect[1] - g[1], g[1] - rect[3], 0.0)
-            return points_to_rect_dist(qpts, rect).tolist(), float(np.hypot(dx, dy)), ga
+            d = points_to_rects_dist(qg, _cell_rect(grid, z))[:, 0].tolist()
+            return d[:-1], d[-1], ga
 
         return _ColumnEngine(edit_start(ga), erp_step, column)
     if measure == "edr":

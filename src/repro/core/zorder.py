@@ -116,10 +116,6 @@ class Grid:
         """√2·δ/2 — max distance from a point to its cell's center."""
         return math.sqrt(2.0) * self.delta / 2.0
 
-    @property
-    def n_cells(self) -> int:
-        return self.l * self.l
-
 
 def ref_trajectory(grid: Grid, pts: np.ndarray) -> np.ndarray:
     """Z-value sequence of a trajectory (Definition 4), same length as τ."""
@@ -131,19 +127,15 @@ def ref_points(grid: Grid, zs: np.ndarray) -> np.ndarray:
     return grid.refpoints_of_z(np.asarray(zs, dtype=np.int64))
 
 
-def point_to_rects_dist(q: np.ndarray, rects: np.ndarray) -> np.ndarray:
-    """Min Euclidean distance from point ``q=(x,y)`` to each rect.
-
-    This is d'(q, cell) from §VI-B (DTW bounds): 0 when q is inside.
-    ``rects`` shape (n, 4) as [minx, miny, maxx, maxy].
+def points_to_rects_dist(pts, rects) -> np.ndarray:
+    """(m, n) Euclidean distances from each of ``m`` points (m, 2) to
+    each of ``n`` rects (n, 4) as [minx, miny, maxx, maxy]: d'(q, cell)
+    of §VI-B, 0 when the point is inside. One point (2,) or one rect (4,)
+    is m = 1 or n = 1.
     """
-    dx = np.maximum(np.maximum(rects[:, 0] - q[0], q[0] - rects[:, 2]), 0.0)
-    dy = np.maximum(np.maximum(rects[:, 1] - q[1], q[1] - rects[:, 3]), 0.0)
-    return np.sqrt(dx * dx + dy * dy)
-
-
-def points_to_rect_dist(pts: np.ndarray, rect: np.ndarray) -> np.ndarray:
-    """Min distance from each point in ``pts`` (m,2) to one rect (4,)."""
-    dx = np.maximum(np.maximum(rect[0] - pts[:, 0], pts[:, 0] - rect[2]), 0.0)
-    dy = np.maximum(np.maximum(rect[1] - pts[:, 1], pts[:, 1] - rect[3]), 0.0)
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    rects = np.asarray(rects, dtype=float).reshape(-1, 4)
+    px, py = pts[:, :1], pts[:, 1:]
+    dx = np.maximum(np.maximum(rects[:, 0] - px, px - rects[:, 2]), 0.0)
+    dy = np.maximum(np.maximum(rects[:, 1] - py, py - rects[:, 3]), 0.0)
     return np.sqrt(dx * dx + dy * dy)

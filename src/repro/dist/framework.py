@@ -25,6 +25,15 @@ answer is still the first k by ``(dist, tid)``. Local times are per
 task, timed around ``search_task``, since a task, not a pack, sets the
 stage latency.
 
+The four systems share this framework as the paper's baselines share
+its kernels (§VII-A). ``DistributedTopK`` binds the measure once: its
+parameters go into the packs' config, and ERP's default gap point, the
+centre of the data (``erp_gap``), is the same for every system. The
+``LocalPack`` base holds what every pack shares (the trajectories, the
+measure's kernel and lower bound, the raw bytes and the build timer),
+so a system's pack builds only its own index, and LS, which has none,
+uses the base itself.
+
 The cached ``RDD[LocalPack]`` is the only pack cache. PySpark caches its
 elements as pickled bytes, where the paper's Scala ``RDD[RpTraj]`` holds
 deserialized objects, so each query unpickles each pack once in the task
@@ -54,11 +63,12 @@ import math
 import sys
 import time
 import zipimport
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.measures import get_lower_bound, get_measure
 from repro.core.partition import assign_partitions, dataset_bounds
 from repro.core.search import check_k, scan_topk
 
@@ -69,21 +79,40 @@ POINT_BYTES = 16
 class LocalPack:
     """Per-partition package: trajectories + a local index (`RpTraj`).
 
-    Subclasses implement ``candidates`` and set the kernel ``fn`` and its
-    ``lower_bound`` that the default ``search_task`` refines with, or
-    override ``search_task``; ``summary`` reports the per-partition build
-    time and index size used for the paper's IT / IS metrics.
+    The base class binds what every system shares: the partition's
+    ``trajs`` (a dict), the measure, its ``params``, the kernel ``fn``
+    and its ``lower_bound``, and it times one call to ``build``, which
+    a subclass overrides to build its index and return the index's
+    bytes. With no index, it is LS's pack: ``candidates`` is every
+    trajectory and the index costs nothing. A subclass prunes in
+    ``candidates`` or searches its own way in ``search_task``;
+    ``summary`` reports the per-partition build time and index size
+    used for the paper's IT / IS metrics.
     """
 
-    def __init__(self, pid: int, n_trajs: int, build_secs: float, index_bytes: int):
+    def __init__(self, pid: int, trajs: list[tuple[int, np.ndarray]], cfg: dict):
         self.pid = pid
-        self.n_trajs = n_trajs
-        self.build_secs = build_secs
-        self.index_bytes = index_bytes
+        self.trajs = dict(trajs)
+        self.n_trajs = len(self.trajs)
+        self.measure = cfg["measure"]
+        self.params = {"eps": cfg.get("eps"), "gap": cfg.get("gap")}
+        self.fn = get_measure(self.measure, **self.params)
+        self.lower_bound = get_lower_bound(self.measure, **self.params)
+        t0 = time.perf_counter()
+        self.index_bytes = self.build(cfg)
+        self.build_secs = time.perf_counter() - t0
 
-    def candidates(self, qpts: np.ndarray, ctx: dict) -> list[tuple[int, np.ndarray]]:
+    def build(self, cfg: dict) -> int:
+        """Build the pack's index from ``cfg``; returns its bytes (IS)."""
+        return 0
+
+    def raw_bytes(self) -> int:
+        """What the raw trajectories cost, counted in an index's IS."""
+        return POINT_BYTES * sum(len(p) for p in self.trajs.values())
+
+    def candidates(self, qpts: np.ndarray, ctx: dict) -> Iterable[tuple[int, np.ndarray]]:
         """The pack's ``(tid, pts)`` that its index does not rule out."""
-        raise NotImplementedError
+        return self.trajs.items()
 
     @classmethod
     def search_task(cls, packs: list, qpts: np.ndarray, k: int, ctx: dict):
@@ -111,6 +140,15 @@ class LocalPack:
             "build_secs": self.build_secs,
             "index_bytes": self.index_bytes,
         }
+
+
+def erp_gap(measure: str, gap, bounds) -> tuple[float, float] | None:
+    """ERP's gap point: ``gap``, or by default the centre of the data's
+    ``bounds``, the same for every system; ``gap`` for other measures."""
+    if measure != "erp" or gap is not None:
+        return gap
+    minx, miny, maxx, maxy = bounds
+    return (minx + maxx) / 2.0, (miny + maxy) / 2.0
 
 
 def drop_zip_finders() -> None:
@@ -141,8 +179,11 @@ class DistributedTopK:
     build_fn : ``(pid, [(tid, pts)], config) -> LocalPack`` executed inside
         ``mapPartitions`` on the executors, once per pid in
         ``range(n_partitions)``.
+    measure / eps / gap : the measure, bound once here: ``config`` gets
+        them for the packs (ERP's default gap from ``erp_gap``) and
+        ``fn`` is its kernel on the driver.
     config : broadcast-style plain dict shipped in the task closure
-        (bounds, grid δ, pivots, measure params, ...).
+        (bounds, grid δ, pivots, ...).
     strategy / key_mode : global partitioning (see ``core.partition``).
     """
 
@@ -152,6 +193,9 @@ class DistributedTopK:
         traj_df: DataFrame,
         build_fn: Callable[[int, list, dict], LocalPack],
         *,
+        measure: str,
+        eps: float | None = None,
+        gap: tuple[float, float] | None = None,
         n_partitions: int = 16,
         strategy: str = "heterogeneous",
         key_mode: str = "traj",
@@ -163,6 +207,9 @@ class DistributedTopK:
         self.config = dict(config or {})
         if "bounds" not in self.config:
             self.config["bounds"] = dataset_bounds(traj_df)
+        gap = erp_gap(measure, gap, self.config["bounds"])
+        self.config.update(measure=measure, eps=eps, gap=gap)
+        self.fn = get_measure(measure, eps=eps, gap=gap)
         assigned = assign_partitions(
             traj_df,
             n_partitions,

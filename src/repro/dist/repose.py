@@ -3,8 +3,6 @@ global partitioning on the distributed framework (paper §III–§V).
 """
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.measures import METRICS, ORDER_INDEPENDENT, get_measure
@@ -13,24 +11,19 @@ from repro.core.rptrie import RPTrie
 from repro.core.search import search_tries
 from repro.core.succinct import trie_size_bytes
 from repro.core.zorder import Grid
-from repro.dist.framework import POINT_BYTES, DistributedTopK, LocalPack, sample_trajectories
+from repro.dist.framework import DistributedTopK, LocalPack, erp_gap, sample_trajectories
 
 
 class ReposePack(LocalPack):
     """`RpTraj` of §V-C: the partition's trajectories plus its RP-Trie."""
 
-    def __init__(self, pid, trajs, cfg):
-        t0 = time.perf_counter()
-        self.trajs = dict(trajs)
-        self.measure = cfg["measure"]
-        self.params = {"eps": cfg.get("eps"), "gap": cfg.get("gap")}
-        fn = get_measure(self.measure, **self.params)
+    def build(self, cfg):
         pivots = cfg.get("pivots") or []
         if self.measure not in METRICS:
             pivots = []
         self.trie = RPTrie(
             cfg["grid"],
-            fn,
+            self.fn,
             pivots,
             # Hausdorff/Frechet are invariant to collapsing consecutive
             # duplicate reference points — HR/D_max DPs run on the
@@ -38,11 +31,9 @@ class ReposePack(LocalPack):
             collapse_ref_for_dists=self.measure in ("hausdorff", "frechet"),
             need_dmax=self.measure in METRICS,
         )
-        self.trie.build(trajs, mode=cfg["trie_mode"])
-        n_points = sum(len(p) for p in self.trajs.values())
-        idx_bytes = trie_size_bytes(self.trie) + n_points * POINT_BYTES
-        super().__init__(pid, len(trajs), time.perf_counter() - t0, idx_bytes)
+        self.trie.build(list(self.trajs.items()), mode=cfg["trie_mode"])
         self.node_count = self.trie.node_count()
+        return trie_size_bytes(self.trie) + self.raw_bytes()
 
     @classmethod
     def search_task(cls, packs, qpts, k, ctx):
@@ -88,37 +79,31 @@ class Repose(DistributedTopK):
         from repro.core.partition import dataset_bounds
 
         bounds = dataset_bounds(traj_df)
-        grid = Grid.from_bounds(*bounds, delta=delta)
-        if measure == "erp" and gap is None:
-            gap = (
-                (bounds[0] + bounds[2]) / 2.0,
-                (bounds[1] + bounds[3]) / 2.0,
-            )
-        fn = get_measure(measure, eps=eps, gap=gap)
+        gap = erp_gap(measure, gap, bounds)
         pivots = []
         if measure in METRICS and n_pivots > 0:
             pool = sample_trajectories(traj_df, pivot_pool, seed=seed)
+            fn = get_measure(measure, eps=eps, gap=gap)
             pivots = select_pivots([p for _, p in pool], n_pivots, fn, seed=seed)
         if trie_mode is None:
             trie_mode = "opt" if measure in ORDER_INDEPENDENT else "basic"
         cfg = {
-            "measure": measure,
-            "grid": grid,
+            "grid": Grid.from_bounds(*bounds, delta=delta),
             "trie_mode": trie_mode,
             "pivots": pivots,
-            "eps": eps,
-            "gap": gap,
             "bounds": bounds,
         }
         super().__init__(
             spark,
             traj_df,
             ReposePack,
+            measure=measure,
+            eps=eps,
+            gap=gap,
             n_partitions=n_partitions,
             strategy=strategy,
             config=cfg,
         )
-        self.fn = fn
         self.pivots = pivots
 
     def query_ctx(self, qpts, k):

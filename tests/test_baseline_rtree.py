@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.rtree import STRtree, min_qdist_to_rects
+from repro.baselines.rtree import STRtree
+from repro.core.zorder import points_to_rects_dist
 
 
 def rnd_rects(rng, n, scale=100.0):
@@ -23,7 +24,7 @@ def test_query_near_matches_naive(seed, n):
     q = rng.uniform(0, 100, (7, 2))
     theta = rng.uniform(1.0, 30.0)
     got = set(tree.query_near(q, theta, rects).tolist())
-    naive = set(np.nonzero(min_qdist_to_rects(q, rects) < theta)[0].tolist())
+    naive = set(np.nonzero(points_to_rects_dist(q, rects).min(axis=0) < theta)[0].tolist())
     assert got == naive
 
 
@@ -68,7 +69,7 @@ def test_nbytes_positive():
 def test_min_qdist_values():
     rects = np.array([[0.0, 0.0, 1.0, 1.0], [10.0, 10.0, 11.0, 11.0]])
     q = np.array([[2.0, 0.5], [0.5, 0.5]])
-    d = min_qdist_to_rects(q, rects)
+    d = points_to_rects_dist(q, rects).min(axis=0)
     assert d[0] == pytest.approx(0.0)  # q2 inside rect 0
     # rect 1: q1=(2,0.5) → hypot(8, 9.5); q2=(0.5,0.5) → hypot(9.5, 9.5)
     assert d[1] == pytest.approx(np.hypot(8.0, 9.5))

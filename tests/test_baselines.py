@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 
 from repro.baselines.dft import Dft, DftPack
-from repro.baselines.dita import Dita, representative
+from repro.baselines.dita import Dita, DitaPack, representative
 from repro.baselines.ls import Ls
 from repro.core.search import brute_force_topk
-from tests.util import assert_exact_ids, assert_packs_per_task, assert_same_topk
+from repro.core.zorder import points_to_rects_dist
+from tests.util import (
+    assert_exact_ids,
+    assert_packs_per_task,
+    assert_same_topk,
+    rnd_dataset,
+    rnd_query,
+)
 
 NP = 4
 
@@ -158,8 +165,6 @@ def test_dita_global_pruning_skips_far_partitions(spark):
     """On 4 well-separated spatial groups, a query from one group must
     prune the other groups' partitions via the first-point global index
     (the §V-A "resource waste" mechanism), while staying exact."""
-    import repro.baselines.dita as D
-
     rng = np.random.default_rng(4)
     rows, trajs, tid = [], [], 0
     for g in range(4):
@@ -177,7 +182,7 @@ def test_dita_global_pruning_skips_far_partitions(spark):
     skip = [
         s["pid"]
         for s in dita.summaries
-        if D._mbr_dist_point(q[0], np.asarray(s["first_mbr"])) > theta
+        if points_to_rects_dist(q[0], s["first_mbr"]).min() > theta
     ]
     got = dita.query(q, k)
     exp = brute_force_topk(trajs, q, k, measure="frechet")
@@ -189,6 +194,33 @@ def test_dita_global_pruning_skips_far_partitions(spark):
 
 def test_dita_smaller_index_than_dft(spark, tdrive_smoke, dita_frechet, dft_hausdorff):
     assert dita_frechet.index_bytes < dft_hausdorff.index_bytes
+
+
+# ------------------------------------------------------------------------ θ
+
+@pytest.mark.parametrize("system", [Dft, Dita])
+def test_theta_sample_smaller_than_k(system):
+    """A θ sample of fewer than k trajectories has no k-th distance, so
+    θ is ∞ and the packs return all k exact ids: Frechet, k = 250 over
+    250 trajectories, θ samples of 200, in four packs of one task."""
+    data = rnd_dataset(3, 250)
+    pts = np.concatenate(list(data.values()))
+    cfg = {"measure": "frechet", "n_pp": 4, "bounds": (*pts.min(0), *pts.max(0))}
+    pack_cls = DftPack if system is Dft else DitaPack
+    packs = [
+        pack_cls(pid, [(t, p) for t, p in data.items() if t % 4 == pid], cfg)
+        for pid in range(4)
+    ]
+    index = system.__new__(system)
+    index.fn = packs[0].fn
+    index.summaries = [p.summary() for p in packs]
+    q, k = rnd_query(0), len(data)
+    exp = brute_force_topk(data.items(), q, k, measure="frechet")
+    for seed in range(10):
+        drawn = np.random.default_rng(seed).choice(k, 200, replace=False)
+        index.pool = [(int(t), data[int(t)]) for t in drawn]
+        ctx = index.query_ctx(q, k, seed=seed)
+        assert_same_topk(pack_cls.search_task(packs, q, k, ctx), exp)
 
 
 # -------------------------------------------------------- representatives

@@ -15,7 +15,7 @@ import pytest
 from repro.core.measures import METRICS, get_measure, pair_dists
 from repro.core.rptrie import RPTrie
 from repro.core.search import _pivot_lbs, make_engine
-from repro.core.zorder import Grid, points_to_rect_dist
+from repro.core.zorder import Grid, points_to_rects_dist
 from tests.util import ALL, MEASURE_PARAMS, rnd_dataset, rnd_query, trie_nodes
 
 GRID = Grid.from_bounds(-5, -5, 15, 15, delta=0.8)
@@ -147,7 +147,7 @@ def test_dtw_state_matches_batch():
     trie = build_trie("dtw")
     _, states, chain, _, _ = walk(trie, "dtw", qpts, 21)
     d = np.stack(
-        [points_to_rect_dist(qpts, n.rect) for n in chain], axis=1
+        [points_to_rects_dist(qpts, n.rect)[:, 0] for n in chain], axis=1
     )
     m, n = d.shape
     f = np.zeros((m, n))

@@ -257,6 +257,23 @@ def test_erp_default_gap_is_region_center(spark, tdrive_smoke):
     rep.unpersist()
 
 
+def test_one_erp_gap_for_every_system(spark, tdrive_smoke, tdrive_trajs, tdrive_queries):
+    """Without a ``gap``, REPOSE, LS and DFT all score ERP with the gap at
+    the centre of the data's bounds, so each gives brute force's ids for
+    that one gap."""
+    from repro.core.partition import dataset_bounds
+
+    minx, miny, maxx, maxy = dataset_bounds(tdrive_smoke)
+    centre = ((minx + maxx) / 2, (miny + maxy) / 2)
+    for system, kw in ((Repose, {"delta": DELTA}), (Ls, {}), (Dft, {})):
+        index = system(spark, tdrive_smoke, measure="erp", n_partitions=NP, **kw)
+        assert index.config["gap"] == centre
+        for _, q in tdrive_queries:
+            exp = brute_force_topk(tdrive_trajs, q, 8, measure="erp", gap=centre)
+            assert_same_topk(index.query(q, 8), exp)
+        index.unpersist()
+
+
 @pytest.fixture
 def two_module_zip(tmp_path, monkeypatch):
     """A zip archive holding modules ``zipmod_a`` and ``zipmod_b``, first

@@ -17,10 +17,10 @@ import pytest
 
 from repro.baselines.dft import Dft, DftPack
 from repro.baselines.dita import Dita, DitaPack
-from repro.baselines.ls import LsPack
 from repro.core.measures import METRICS, get_measure
 from repro.core.search import SearchStats, brute_force_topk, search_topk, search_tries
 from repro.core.zorder import Grid
+from repro.dist.framework import LocalPack
 from repro.dist.repose import ReposePack
 from tests.util import ALL, MEASURE_PARAMS, assert_same_topk, rnd_dataset, rnd_query
 
@@ -37,7 +37,7 @@ SYSTEMS = {
     + (("dita",) if m == "frechet" else ())
     for m in ALL
 }
-PACKS = {"repose": ReposePack, "ls": LsPack, "dft": DftPack, "dita": DitaPack}
+PACKS = {"repose": ReposePack, "ls": LocalPack, "dft": DftPack, "dita": DitaPack}
 #: the systems whose queries hand the tasks a ``ctx`` of their own
 INDEXES = {"dft": Dft, "dita": Dita}
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.ls import LsPack
 from repro.core.search import brute_force_topk, search_topk
 from repro.core.zorder import Grid
+from repro.dist.framework import LocalPack
 from repro.dist.repose import ReposePack
 from tests.util import ALL, MEASURE_PARAMS, assert_same_topk, rnd_dataset, rnd_query
 
@@ -50,7 +50,7 @@ def pack(pid, trajs, measure):
 
 
 def ls_pack(pid, trajs, measure):
-    return LsPack(pid, list(trajs.items()), {"measure": measure, **MEASURE_PARAMS[measure]})
+    return LocalPack(pid, list(trajs.items()), {"measure": measure, **MEASURE_PARAMS[measure]})
 
 
 def split(data, kth, lo):

@@ -116,9 +116,9 @@ def test_ref_points_shape():
     assert rp.shape == (3, 2)
 
 
-def test_n_cells():
+def test_cells_per_axis():
     g = Z.Grid.from_bounds(0, 0, 8, 8, delta=2.0)
-    assert g.n_cells == 16
+    assert (g.l, g.delta) == (4, 2.0)
 
 
 def test_degenerate_bounds():
@@ -132,25 +132,31 @@ def test_degenerate_bounds():
 
 def test_point_to_rects_zero_inside():
     rects = np.array([[0.0, 0.0, 2.0, 2.0]])
-    assert Z.point_to_rects_dist(np.array([1.0, 1.0]), rects)[0] == 0.0
+    assert Z.points_to_rects_dist(np.array([1.0, 1.0]), rects)[0, 0] == 0.0
 
 
 def test_point_to_rects_outside():
     rects = np.array([[0.0, 0.0, 2.0, 2.0]])
     # corner distance
-    assert Z.point_to_rects_dist(np.array([5.0, 6.0]), rects)[0] == pytest.approx(5.0)
+    assert Z.points_to_rects_dist(np.array([5.0, 6.0]), rects)[0, 0] == pytest.approx(5.0)
     # edge distance
-    assert Z.point_to_rects_dist(np.array([1.0, -3.0]), rects)[0] == pytest.approx(3.0)
+    assert Z.points_to_rects_dist(np.array([1.0, -3.0]), rects)[0, 0] == pytest.approx(3.0)
 
 
 def test_points_to_rect_matches_pointwise():
+    """Each entry of the (m, n) matrix is its one point's distance to its
+    one rect, bit for bit."""
     rng = np.random.default_rng(2)
     pts = rng.uniform(-5, 5, (40, 2))
-    rect = np.array([-1.0, -0.5, 1.5, 2.0])
-    got = Z.points_to_rect_dist(pts, rect)
-    for p, d in zip(pts, got):
-        exp = Z.point_to_rects_dist(p, rect[None, :])[0]
-        assert d == pytest.approx(exp)
+    rects = np.array([[-1.0, -0.5, 1.5, 2.0], [2.0, 3.0, 2.5, 4.0]])
+    got = Z.points_to_rects_dist(pts, rects)
+    assert got.shape == (40, 2)
+    for p, row in zip(pts, got):
+        for rect, d in zip(rects, row):
+            assert d == Z.points_to_rects_dist(p, rect)[0, 0]
+            assert d == pytest.approx(np.hypot(
+                max(rect[0] - p[0], p[0] - rect[2], 0.0), max(rect[1] - p[1], p[1] - rect[3], 0.0)
+            ))
 
 
 @settings(max_examples=40, deadline=None)
@@ -164,7 +170,7 @@ def test_hyp_rect_dist_lower_bounds_interior_points(px, py, cx, cy, w, h):
     DTW/EDR/LCSS lower bounds rely on (§VI-B)."""
     rect = np.array([[cx, cy, cx + w, cy + h]])
     q = np.array([px, py])
-    d = Z.point_to_rects_dist(q, rect)[0]
+    d = Z.points_to_rects_dist(q, rect)[0, 0]
     rng = np.random.default_rng(0)
     inside = np.column_stack(
         [rng.uniform(cx, cx + w, 20), rng.uniform(cy, cy + h, 20)]
