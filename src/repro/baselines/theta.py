@@ -29,7 +29,7 @@ class ThetaTopK(DistributedTopK):
     def __init__(self, spark, traj_df, build_fn, *, sample_pool: int, seed: int, **kwargs):
         super().__init__(spark, traj_df, build_fn, **kwargs)
         # threshold-estimation pool, sampled after the build so IT excludes it
-        self.pool = sample_trajectories(traj_df, sample_pool, seed=seed)
+        self.pool = sample_trajectories(traj_df, sample_pool, seed=seed, count=self.n_trajs)
 
     def estimate_theta(self, qpts: np.ndarray, k: int, seed: int = 0) -> float:
         """k-th smallest exact distance among C·k randomly drawn

@@ -18,8 +18,10 @@ All assignment logic is Spark SQL / window functions (Catalyst). The
 only Python is one pandas UDF that gives each trajectory its cluster key
 at every granularity the loop may pick (``cluster_keys``): the cells are
 computed once, at the finest granularity, and each coarser one is a
-shift of them. One aggregate job then counts the rows and the distinct
-keys at every granularity.
+shift of them. One aggregate then counts the rows and the distinct
+keys at every granularity; it collects each granularity's distinct keys
+as a set, which needs no Expand of the rows as several ``count_distinct``
+do, so the count is one shuffle into a single task.
 """
 from __future__ import annotations
 
@@ -39,8 +41,9 @@ MAX_BITS = 14  # finest granularity tried by the coarsening loop
 TRIALS = tuple(range(MAX_BITS, 0, -2))
 
 
-def dataset_bounds(traj_df: DataFrame) -> tuple[float, float, float, float]:
-    """Global (minx, miny, maxx, maxy) over all trajectory points.
+def dataset_stats(traj_df: DataFrame) -> tuple[tuple[float, float, float, float], int]:
+    """Global (minx, miny, maxx, maxy) over all trajectory points, and the
+    number of trajectories, from one aggregate.
 
     Raises ``ValueError`` when a coordinate is NaN or ±inf. No extra job
     is needed to find one: Spark orders NaN above every number, so a NaN
@@ -51,11 +54,18 @@ def dataset_bounds(traj_df: DataFrame) -> tuple[float, float, float, float]:
         F.min(F.array_min("ys")).alias("miny"),
         F.max(F.array_max("xs")).alias("maxx"),
         F.max(F.array_max("ys")).alias("maxy"),
+        F.count("*").alias("n"),
     ).first()
     bounds = (row.minx, row.miny, row.maxx, row.maxy)
     if not all(b is not None and math.isfinite(b) for b in bounds):
         raise ValueError(f"trajectory coordinates must be finite; bounds are {bounds}")
-    return bounds
+    return bounds, row.n
+
+
+def dataset_bounds(traj_df: DataFrame) -> tuple[float, float, float, float]:
+    """Global (minx, miny, maxx, maxy) over all trajectory points
+    (``dataset_stats`` without the count)."""
+    return dataset_stats(traj_df)[0]
 
 
 def _stable_hash64(b: bytes) -> int:
@@ -98,11 +108,16 @@ def cluster_keys(
 
 def _keyed(traj_df: DataFrame, bounds, key_mode: str) -> tuple[DataFrame, int, list[int]]:
     """``traj_df`` with a ``_keys`` column (``cluster_keys`` per row), its
-    row count and the distinct keys at each granularity, from one job.
+    row count and the number of distinct keys at each granularity, from
+    one aggregate: ``size(collect_set(...))`` per granularity gives what
+    ``count_distinct`` does, without the Expand that splits several
+    distinct counts into three jobs.
 
     ``keyed`` stays cached, so a later build on the same data reuses its
-    keys. On 4 vCPUs a warm ``assign_partitions`` of 1200 Xi'an-lite
-    trajectories took 0.7-1.0 s with the cache and 1.0-1.2 s without it.
+    keys. On 4 vCPUs, removing the cache raised the median ``setup_s``
+    of ``perfbench/run.py`` from 0.53 to 0.80 s on 1200 Xi'an-lite
+    trajectories (Hausdorff) and from 0.70 to 1.11 s on 3000 (Frechet),
+    3 of 3 paired runs each.
     """
 
     @F.pandas_udf(ArrayType(LongType()))
@@ -111,7 +126,7 @@ def _keyed(traj_df: DataFrame, bounds, key_mode: str) -> tuple[DataFrame, int, l
 
     keyed = traj_df.withColumn("_keys", keys("xs", "ys")).cache()
     row = keyed.select(
-        F.count("*"), *[F.count_distinct(F.col("_keys")[i]) for i in range(len(TRIALS))]
+        F.count("*"), *[F.size(F.collect_set(F.col("_keys")[i])) for i in range(len(TRIALS))]
     ).first()
     return keyed, row[0], list(row[1:])
 

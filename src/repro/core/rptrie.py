@@ -152,6 +152,9 @@ class RPTrie:
         if mode not in ("basic", "dedup", "opt"):
             raise ValueError(f"unknown trie mode {mode!r}")
         tids, paths, pds, dmaxs = [], [], [], []
+        # a pivot distance depends on the reference trajectory alone, so
+        # it is computed once per distinct one
+        pivot_dists: dict[bytes, list] = {}
         for tid, pts in trajs:
             zs = ref_trajectory(self.grid, pts)
             if mode != "basic":
@@ -162,7 +165,10 @@ class RPTrie:
             rp = ref_points(self.grid, zd)
             tids.append(tid)
             paths.append(zs)
-            pds.append([self.fn(p, rp) for p in self.pivots])
+            key = zd.tobytes()
+            if key not in pivot_dists:
+                pivot_dists[key] = [self.fn(p, rp) for p in self.pivots]
+            pds.append(pivot_dists[key])
             dmaxs.append(float(self.fn(pts, rp)) if self.need_dmax else 0.0)
         self.n_trajs = len(tids)
         self.pivot_slack = max(dmaxs, default=0.0)

@@ -69,7 +69,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.measures import get_lower_bound, get_measure
-from repro.core.partition import assign_partitions, dataset_bounds
+from repro.core.partition import assign_partitions, dataset_stats
 from repro.core.search import check_k, scan_topk
 
 #: raw trajectory storage cost (2 float64 coords/point), counted in IS
@@ -183,8 +183,15 @@ class DistributedTopK:
         them for the packs (ERP's default gap from ``erp_gap``) and
         ``fn`` is its kernel on the driver.
     config : broadcast-style plain dict shipped in the task closure
-        (bounds, grid δ, pivots, ...).
+        (grid δ, trie mode, ...); the build adds the data's ``bounds`` and
+        what ``global_config`` returns.
     strategy / key_mode : global partitioning (see ``core.partition``).
+
+    A build runs, in order: one aggregate for the data's bounds and row
+    count (``n_trajs``), the driver-side ``global_config``, the cluster
+    key counts of ``assign_partitions`` and the pack job. ``build_time``
+    (IT) covers all of them, and ``build_phases`` holds each one's
+    seconds: ``bounds_s``, ``global_s``, ``keys_s`` and ``packs_s``.
     """
 
     def __init__(
@@ -204,20 +211,18 @@ class DistributedTopK:
         t0 = time.perf_counter()
         self.spark = spark
         self.n_partitions = n_partitions
-        self.config = dict(config or {})
-        if "bounds" not in self.config:
-            self.config["bounds"] = dataset_bounds(traj_df)
-        gap = erp_gap(measure, gap, self.config["bounds"])
-        self.config.update(measure=measure, eps=eps, gap=gap)
+        self.config = cfg = dict(config or {})
+        cfg["bounds"], self.n_trajs = dataset_stats(traj_df)
+        gap = erp_gap(measure, gap, cfg["bounds"])
+        cfg.update(measure=measure, eps=eps, gap=gap)
         self.fn = get_measure(measure, eps=eps, gap=gap)
+        t1 = time.perf_counter()
+        cfg.update(self.global_config(traj_df))
+        t2 = time.perf_counter()
         assigned = assign_partitions(
-            traj_df,
-            n_partitions,
-            strategy,
-            bounds=self.config["bounds"],
-            key_mode=key_mode,
+            traj_df, n_partitions, strategy, bounds=cfg["bounds"], key_mode=key_mode
         )
-        cfg = self.config
+        t3 = time.perf_counter()
         n_tasks = min(n_partitions, spark.sparkContext.defaultParallelism)
         keyed = (
             assigned.select("pid", "tid", "xs", "ys")
@@ -240,9 +245,19 @@ class DistributedTopK:
 
         self.rdd = keyed.mapPartitionsWithIndex(build_task).cache()
         self.summaries = self.rdd.map(summary).collect()
-        self.build_time = time.perf_counter() - t0  # IT metric
+        t4 = time.perf_counter()
+        self.build_time = t4 - t0  # IT metric
+        self.build_phases = {
+            "bounds_s": t1 - t0, "global_s": t2 - t1, "keys_s": t3 - t2, "packs_s": t4 - t3,
+        }
         self.index_bytes = sum(s["index_bytes"] for s in self.summaries)  # IS
         self.last_query_time = 0.0
+
+    def global_config(self, traj_df: DataFrame) -> dict:
+        """The driver-side global index, added to every pack's config: a
+        subclass computes it once per build, after ``config`` has the
+        data's bounds and the measure and ``n_trajs`` is known."""
+        return {}
 
     def query_ctx(self, qpts: np.ndarray, k: int) -> dict:
         """What every task's search receives besides the query and k: a
@@ -286,14 +301,18 @@ class DistributedTopK:
 
 
 def sample_trajectories(
-    traj_df: DataFrame, n: int, seed: int = 0
+    traj_df: DataFrame, n: int, seed: int = 0, count: int | None = None
 ) -> list[tuple[int, np.ndarray]]:
     """Uniform random driver-side sample of ``(tid, pts)`` rows.
 
     Used for pivot selection (REPOSE) and threshold estimation pools
-    (DFT/DITA). Deterministic in ``seed``.
+    (DFT/DITA). Deterministic in ``seed``. ``count`` is the number of
+    rows of ``traj_df`` when the caller knows it (``dataset_stats``);
+    without it a ``count()`` job finds it. The sample is collected whole
+    and cut to its first ``n`` rows: the rows, and their order, that
+    ``limit(n)`` gives, in one job where ``limit`` may take two.
     """
-    total = traj_df.count()
+    total = traj_df.count() if count is None else count
     frac = min(1.0, (3.0 * n) / max(1, total))
-    rows = traj_df.sample(fraction=frac, seed=seed).limit(n).collect()
+    rows = traj_df.sample(fraction=frac, seed=seed).collect()[:n]
     return _rows_to_trajs([(r.tid, r.xs, r.ys) for r in rows])

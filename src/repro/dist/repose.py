@@ -5,13 +5,13 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.measures import METRICS, ORDER_INDEPENDENT, get_measure
+from repro.core.measures import METRICS, ORDER_INDEPENDENT
 from repro.core.pivots import query_pivot_dists, select_pivots
 from repro.core.rptrie import RPTrie
 from repro.core.search import search_tries
 from repro.core.succinct import trie_size_bytes
 from repro.core.zorder import Grid
-from repro.dist.framework import DistributedTopK, LocalPack, erp_gap, sample_trajectories
+from repro.dist.framework import DistributedTopK, LocalPack, sample_trajectories
 
 
 class ReposePack(LocalPack):
@@ -76,23 +76,12 @@ class Repose(DistributedTopK):
         pivot_pool: int = 100,
         seed: int = 0,
     ):
-        from repro.core.partition import dataset_bounds
-
-        bounds = dataset_bounds(traj_df)
-        gap = erp_gap(measure, gap, bounds)
-        pivots = []
-        if measure in METRICS and n_pivots > 0:
-            pool = sample_trajectories(traj_df, pivot_pool, seed=seed)
-            fn = get_measure(measure, eps=eps, gap=gap)
-            pivots = select_pivots([p for _, p in pool], n_pivots, fn, seed=seed)
+        self.delta = delta
+        self.n_pivots = n_pivots if measure in METRICS else 0
+        self.pivot_pool = pivot_pool
+        self.seed = seed
         if trie_mode is None:
             trie_mode = "opt" if measure in ORDER_INDEPENDENT else "basic"
-        cfg = {
-            "grid": Grid.from_bounds(*bounds, delta=delta),
-            "trie_mode": trie_mode,
-            "pivots": pivots,
-            "bounds": bounds,
-        }
         super().__init__(
             spark,
             traj_df,
@@ -102,9 +91,18 @@ class Repose(DistributedTopK):
             gap=gap,
             n_partitions=n_partitions,
             strategy=strategy,
-            config=cfg,
+            config={"trie_mode": trie_mode},
         )
-        self.pivots = pivots
+
+    def global_config(self, traj_df):
+        """The grid over the data's bounds and the global pivots (§IV-D),
+        selected from a driver sample of ``pivot_pool`` trajectories."""
+        self.pivots = []
+        if self.n_pivots > 0:
+            pool = sample_trajectories(traj_df, self.pivot_pool, seed=self.seed, count=self.n_trajs)
+            self.pivots = select_pivots([p for _, p in pool], self.n_pivots, self.fn, seed=self.seed)
+        grid = Grid.from_bounds(*self.config["bounds"], delta=self.delta)
+        return {"grid": grid, "pivots": self.pivots}
 
     def query_ctx(self, qpts, k):
         """The query-to-pivot distances d_qp (§IV-D), computed once here

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.partition import (
-    TRIALS, _stable_hash64, assign_partitions, cluster_keys,
+    TRIALS, _keyed, _stable_hash64, assign_partitions, cluster_keys,
     cluster_trajectories, dataset_bounds,
 )
 from repro.core.zorder import interleave
@@ -130,6 +130,26 @@ def test_cluster_key_modes(grouped_df):
         assert len(rows) == 32
         for r in rows:
             assert r.cluster == cluster_keys(r.xs, r.ys, bounds, mode)[TRIALS.index(bits)]
+
+
+@pytest.mark.parametrize("mode", ["traj", "first", "centroid"])
+def test_key_counts_equal_count_distinct(spark, grouped_df, mode):
+    """The per-level distinct-key counts of ``_keyed``'s one aggregate are
+    ``count_distinct``'s, on data where a duplicated trajectory makes the
+    finest level hold fewer keys than rows."""
+    import pyspark.sql.functions as F
+
+    rows = [tuple(r) for r in grouped_df.collect()]
+    rows += [(tid + 1000, xs, ys) for tid, xs, ys in rows[:10]]
+    df = spark.createDataFrame(rows, "tid long, xs array<double>, ys array<double>")
+    keyed, n, counts = _keyed(df, dataset_bounds(df), mode)
+    want = keyed.select(
+        *[F.count_distinct(F.col("_keys")[i]) for i in range(len(TRIALS))]
+    ).first()
+    assert n == len(rows)
+    assert counts == list(want)
+    assert counts[0] < n
+    keyed.unpersist()
 
 
 def test_partition_count_one(grouped_df):

@@ -21,7 +21,7 @@ from repro.core.measures import get_measure
 from repro.core.rptrie import RPTrie
 from repro.core.search import brute_force_topk, scan_topk, search_topk
 from repro.core.zorder import Grid
-from repro.dist.framework import drop_zip_finders
+from repro.dist.framework import drop_zip_finders, sample_trajectories
 from repro.dist.repose import Repose
 from tests.util import (
     MEASURE_PARAMS,
@@ -154,6 +154,51 @@ def test_build_stats(repose_hausdorff, tdrive_trajs):
     # heterogeneous round-robin → balanced partitions
     sizes = [s["n_trajs"] for s in rep.summaries]
     assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [30, 100, 250])
+def test_sample_with_count_is_the_limit_sample(tdrive_smoke, seed, n):
+    """With the row count passed, ``sample_trajectories`` returns the rows,
+    in their order, of ``sample(frac, seed).limit(n)``, also for n ≥ N."""
+    total = tdrive_smoke.count()
+    frac = min(1.0, 3.0 * n / total)
+    want = tdrive_smoke.sample(fraction=frac, seed=seed).limit(n).collect()
+    got = sample_trajectories(tdrive_smoke, n, seed=seed, count=total)
+    assert [t for t, _ in got] == [r.tid for r in want]
+    for (_, pts), r in zip(got, want):
+        assert np.array_equal(pts, np.column_stack([r.xs, r.ys]))
+    assert len(got) == min(n, total)
+
+
+def test_no_build_counts_rows(spark, tdrive_smoke, monkeypatch):
+    """The row count comes from the bounds aggregate: no build of REPOSE,
+    LS, DFT or DITA runs a ``count()`` of its own."""
+    from pyspark.sql import DataFrame
+
+    def refuse(self):
+        raise AssertionError("a build counted the rows")
+
+    monkeypatch.setattr(DataFrame, "count", refuse)
+    for system in (Repose, Ls, Dft, Dita):
+        kw = {"delta": DELTA} if system is Repose else {}
+        index = system(spark, tdrive_smoke, n_partitions=NP, **kw)
+        assert index.n_trajs == 220
+        index.unpersist()
+
+
+@pytest.mark.parametrize("system", ["repose", "ls", "dft", "dita"])
+def test_build_phases(request, system):
+    """Each build reports its phases' seconds, which cover its whole
+    ``build_time`` (up to rounding)."""
+    if system == "repose":
+        index = request.getfixturevalue("repose_hausdorff")
+    else:
+        index = request.getfixturevalue("baselines")[system]
+    phases = index.build_phases
+    assert list(phases) == ["bounds_s", "global_s", "keys_s", "packs_s"]
+    assert all(v >= 0 for v in phases.values())
+    assert sum(phases.values()) == pytest.approx(index.build_time)
 
 
 def test_several_packs_per_task(spark, tdrive_smoke, tdrive_trajs, tdrive_queries):

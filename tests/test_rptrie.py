@@ -9,7 +9,7 @@ import pytest
 from repro.core.measures import get_measure
 from repro.core.rptrie import RPTrie, dedup_first_occurrence
 from repro.core.zorder import Grid, ref_points, ref_trajectory
-from tests.util import rnd_dataset, trie_nodes
+from tests.util import MEASURE_PARAMS, rnd_dataset, trie_nodes
 
 GRID = Grid.from_bounds(-5, -5, 15, 15, delta=0.8)
 
@@ -265,3 +265,58 @@ def test_example3_hitting_set_property():
             walk(c, path + [z])
 
     walk(trie_nodes(trie)[0], [])
+
+
+@pytest.mark.parametrize("measure,mode", [("hausdorff", "opt"), ("frechet", "basic"), ("erp", "basic")])
+def test_pivot_dists_once_per_reference_trajectory(measure, mode):
+    """``build`` runs ``n_pivots`` pivot DPs per distinct reference
+    trajectory (collapsed for Hausdorff and Frechet, whole for ERP), and
+    its HRs and pivot slack are bit-equal to per-trajectory DPs."""
+    fn = get_measure(measure, **MEASURE_PARAMS[measure])
+    pivots = list(rnd_dataset(7, 3).values())
+    pivot_ids = {id(p) for p in pivots}
+    data = rnd_dataset(0, 60)
+    rng = np.random.default_rng(1)
+    # near-copies: other points, mostly the same reference trajectory
+    data.update({100 + t: data[t] + rng.normal(0, 1e-4, data[t].shape) for t in range(30)})
+    collapse = measure in ("hausdorff", "frechet")
+    calls = []
+
+    def counting(a, b):
+        calls.append(id(a) in pivot_ids)
+        return fn(a, b)
+
+    trie = RPTrie(GRID, counting, pivots, collapse_ref_for_dists=collapse)
+    trie.build(list(data.items()), mode=mode)
+
+    # the reference: every trajectory's own DPs
+    pds, dmax, refs = {}, [], set()
+    for tid, pts in data.items():
+        zs = ref_trajectory(GRID, pts)
+        if mode != "basic":
+            zs = dedup_first_occurrence(zs)
+        if collapse:
+            zs = zs[np.concatenate([[True], zs[1:] != zs[:-1]])]
+        refs.add(zs.tobytes())
+        rp = ref_points(GRID, zs)
+        pds[tid] = np.array([fn(p, rp) for p in pivots])
+        dmax.append(fn(pts, rp))
+    assert len(refs) < len(data)
+    assert sum(calls) == len(pivots) * len(refs)
+    assert trie.pivot_slack == max(dmax)
+
+    def leaf_tids(l):
+        return trie.tids[trie.tid_off[l]:trie.tid_off[l + 1]]
+
+    def subtree_tids(e):
+        own = list(leaf_tids(trie.leaf[e])) if trie.leaf[e] >= 0 else []
+        return own + [t for c in range(trie.kid_off[e], trie.kid_off[e + 1]) for t in subtree_tids(c)]
+
+    def hr_of(tids):
+        d = np.array([pds[t] for t in tids])
+        return np.stack([d.min(axis=0), d.max(axis=0)], axis=1)
+
+    for l in range(len(trie.tid_off) - 1):
+        assert np.array_equal(trie.leaf_hr[l], hr_of(leaf_tids(l)))
+    for e in range(len(trie.depth)):
+        assert np.array_equal(trie.hr[e], hr_of(subtree_tids(e)))
