@@ -8,20 +8,16 @@ session). ``profile`` is "lite" (bench scale, EXPERIMENTS.md numbers) or
 """
 from __future__ import annotations
 
-import os
 import sys
 import time
 
 import numpy as np
 import pandas as pd
 
-sys.path.insert(0, os.path.dirname(__file__))  # allow jobs importing _common
-
 from repro import synth_data
 from repro.baselines.dft import Dft
 from repro.baselines.dita import Dita
 from repro.baselines.ls import Ls
-from repro.baselines.theta import ThetaTopK
 from repro.dist.repose import Repose
 
 ALGOS = {"REPOSE": Repose, "DITA": Dita, "DFT": Dft, "LS": Ls}
@@ -78,16 +74,39 @@ def timed_queries(algo_obj, queries, k: int) -> dict:
     very first query on a fresh cached RDD pays JVM/python-worker startup
     that the paper's 20-run averages also exclude.
     """
+    algo_obj.query(queries[0][1], k)
     wall, local = [], []
-    for qi, (_, q) in enumerate([queries[0]] + list(queries)):
-        if isinstance(algo_obj, ThetaTopK):
-            algo_obj.query(q, k, seed=qi)
-        else:
-            algo_obj.query(q, k)
-        if qi > 0:
-            wall.append(algo_obj.last_query_time)
-            local.append(algo_obj.last_local_max)
+    for _, q in queries:
+        algo_obj.query(q, k)
+        wall.append(algo_obj.last_query_time)
+        local.append(algo_obj.last_local_max)
     return {"wall": float(np.mean(wall)), "local": float(np.mean(local))}
+
+
+def sweep(spark, profile: str, title: str, datasets, cells, columns=lambda obj: {}):
+    """One table: for each dataset, ``load_dataset``; for each cell
+    ``(keys, algo, kw)`` of ``cells(dataset)``, ``build_algo(algo,
+    measure=keys["measure"], **kw)``, ``timed_queries``, a row of the
+    dataset, ``keys``, QT and ``columns(index)``, then ``unpersist``.
+    An ``algo`` of None is a "/" cell: a row of ``keys`` alone.
+    """
+    k = PROFILE[profile]["k"]
+    rows = []
+    for ds in datasets:
+        df, queries = load_dataset(spark, ds, profile)
+        for keys, algo, kw in cells(ds):
+            row = dict(dataset=ds, **keys, qt_s=None, qt_local_s=None)
+            if algo is not None:
+                obj = build_algo(
+                    spark, algo, df, measure=keys["measure"], dataset=ds, profile=profile, **kw
+                )
+                qt = timed_queries(obj, queries, k)
+                row.update(qt_s=round(qt["wall"], 3), qt_local_s=round(qt["local"], 3))
+                row.update(columns(obj))
+                obj.unpersist()
+            rows.append(row)
+        df.unpersist()
+    return print_table(pd.DataFrame(rows), f"{title} (profile={profile})")
 
 
 def print_table(df: pd.DataFrame, title: str) -> pd.DataFrame:

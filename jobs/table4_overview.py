@@ -5,55 +5,24 @@ Cells the paper marks "/" (DITA×Hausdorff; LS index rows) stay "/".
 """
 from __future__ import annotations
 
-import pandas as pd
-
-from _common import (
-    ALL_DATASETS, PROFILE, build_algo, job_main, load_dataset, print_table,
-)
+from _common import ALL_DATASETS, ALGOS, job_main, sweep
 
 MEASURES = ("hausdorff", "frechet", "dtw")
 ALGO_ORDER = ("REPOSE", "DITA", "DFT", "LS")
 
 
-def run(spark, profile: str = "lite", datasets=ALL_DATASETS, measures=MEASURES):
-    from _common import timed_queries
+def index_columns(obj) -> dict:
+    """IS and IT; none for LS, which builds no index."""
+    if isinstance(obj, ALGOS["LS"]):
+        return {}
+    return {"is_mb": round(obj.index_bytes / 1e6, 2), "it_s": round(obj.build_time, 2)}
 
-    k = PROFILE[profile]["k"]
-    rows = []
-    for ds in datasets:
-        df, queries = load_dataset(spark, ds, profile)
-        for measure in measures:
-            for algo in ALGO_ORDER:
-                if algo == "DITA" and measure == "hausdorff":
-                    rows.append(
-                        dict(dataset=ds, measure=measure, algo=algo,
-                             qt_s=None, qt_local_s=None, is_mb=None, it_s=None)
-                    )
-                    continue
-                obj = build_algo(
-                    spark, algo, df, measure=measure, dataset=ds, profile=profile
-                )
-                qt = timed_queries(obj, queries, k)
-                rows.append(
-                    dict(
-                        dataset=ds,
-                        measure=measure,
-                        algo=algo,
-                        qt_s=round(qt["wall"], 3),
-                        qt_local_s=round(qt["local"], 3),
-                        is_mb=(
-                            None if algo == "LS"
-                            else round(obj.index_bytes / 1e6, 2)
-                        ),
-                        it_s=(
-                            None if algo == "LS" else round(obj.build_time, 2)
-                        ),
-                    )
-                )
-                obj.unpersist()
-        df.unpersist()
-    out = pd.DataFrame(rows)
-    return print_table(out, f"Table IV (profile={profile})")
+
+def run(spark, profile: str = "lite", datasets=ALL_DATASETS, measures=MEASURES):
+    return sweep(spark, profile, "Table IV", datasets, lambda ds: [
+        (dict(measure=m, algo=a), None if (a, m) == ("DITA", "hausdorff") else a, {})
+        for m in measures for a in ALGO_ORDER
+    ], index_columns)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,7 @@ which (together with ``trie_mode``) regenerates the Fig. 7 comparison.
 """
 from __future__ import annotations
 
-import pandas as pd
-
-from _common import PROFILE, build_algo, job_main, load_dataset, print_table, timed_queries
+from _common import FOCUS_DATASETS, job_main, sweep
 
 #: the paper's exact δ sweeps (§VII-B Table V) — spans match, so reusable
 DELTAS = {
@@ -17,29 +15,12 @@ DELTAS = {
 MEASURES = ("hausdorff", "frechet")
 
 
-def run(spark, profile: str = "lite", datasets=("tdrive", "xian", "osm"),
+def run(spark, profile: str = "lite", datasets=FOCUS_DATASETS,
         measures=MEASURES, deltas=None):
-    k = PROFILE[profile]["k"]
-    rows = []
-    for ds in datasets:
-        df, queries = load_dataset(spark, ds, profile)
-        for delta in (deltas or DELTAS)[ds]:
-            for measure in measures:
-                obj = build_algo(
-                    spark, "REPOSE", df, measure=measure, dataset=ds,
-                    profile=profile, delta=delta,
-                )
-                qt = timed_queries(obj, queries, k)
-                rows.append(
-                    dict(dataset=ds, delta=delta, measure=measure,
-                         qt_s=round(qt["wall"], 3),
-                         qt_local_s=round(qt["local"], 3),
-                         trie_nodes=obj.total_trie_nodes)
-                )
-                obj.unpersist()
-        df.unpersist()
-    out = pd.DataFrame(rows)
-    return print_table(out, f"Table V (profile={profile})")
+    return sweep(spark, profile, "Table V", datasets, lambda ds: [
+        (dict(delta=d, measure=m), "REPOSE", dict(delta=d))
+        for d in (deltas or DELTAS)[ds] for m in measures
+    ], lambda obj: {"trie_nodes": obj.total_trie_nodes})
 
 
 if __name__ == "__main__":

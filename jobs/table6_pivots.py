@@ -2,36 +2,18 @@
 T-drive, Xi'an and OSM, for Hausdorff and Frechet."""
 from __future__ import annotations
 
-import pandas as pd
-
-from _common import PROFILE, build_algo, job_main, load_dataset, print_table, timed_queries
+from _common import FOCUS_DATASETS, job_main, sweep
 
 N_PIVOTS = (1, 3, 5, 7, 9, 11)
 MEASURES = ("hausdorff", "frechet")
 
 
-def run(spark, profile: str = "lite", datasets=("tdrive", "xian", "osm"),
+def run(spark, profile: str = "lite", datasets=FOCUS_DATASETS,
         measures=MEASURES, n_pivots=N_PIVOTS):
-    k = PROFILE[profile]["k"]
-    rows = []
-    for ds in datasets:
-        df, queries = load_dataset(spark, ds, profile)
-        for np_ in n_pivots:
-            for measure in measures:
-                obj = build_algo(
-                    spark, "REPOSE", df, measure=measure, dataset=ds,
-                    profile=profile, n_pivots=np_,
-                )
-                qt = timed_queries(obj, queries, k)
-                rows.append(
-                    dict(dataset=ds, n_p=np_, measure=measure,
-                         qt_s=round(qt["wall"], 3),
-                         qt_local_s=round(qt["local"], 3))
-                )
-                obj.unpersist()
-        df.unpersist()
-    out = pd.DataFrame(rows)
-    return print_table(out, f"Table VI (profile={profile})")
+    return sweep(spark, profile, "Table VI", datasets, lambda ds: [
+        (dict(n_p=n, measure=m), "REPOSE", dict(n_pivots=n))
+        for n in n_pivots for m in measures
+    ])
 
 
 if __name__ == "__main__":

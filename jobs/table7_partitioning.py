@@ -3,36 +3,18 @@ heterogeneous vs homogeneous vs random, with the RP-Trie as local index,
 on T-drive, Xi'an and OSM for Hausdorff and Frechet."""
 from __future__ import annotations
 
-import pandas as pd
-
-from _common import PROFILE, build_algo, job_main, load_dataset, print_table, timed_queries
+from _common import FOCUS_DATASETS, job_main, sweep
 
 STRATEGIES = ("heterogeneous", "homogeneous", "random")
 MEASURES = ("hausdorff", "frechet")
 
 
-def run(spark, profile: str = "lite", datasets=("tdrive", "xian", "osm"),
+def run(spark, profile: str = "lite", datasets=FOCUS_DATASETS,
         measures=MEASURES, strategies=STRATEGIES):
-    k = PROFILE[profile]["k"]
-    rows = []
-    for ds in datasets:
-        df, queries = load_dataset(spark, ds, profile)
-        for measure in measures:
-            for strategy in strategies:
-                obj = build_algo(
-                    spark, "REPOSE", df, measure=measure, dataset=ds,
-                    profile=profile, strategy=strategy,
-                )
-                qt = timed_queries(obj, queries, k)
-                rows.append(
-                    dict(dataset=ds, measure=measure, strategy=strategy,
-                         qt_s=round(qt["wall"], 3),
-                         qt_local_s=round(qt["local"], 3))
-                )
-                obj.unpersist()
-        df.unpersist()
-    out = pd.DataFrame(rows)
-    return print_table(out, f"Table VII (profile={profile})")
+    return sweep(spark, profile, "Table VII", datasets, lambda ds: [
+        (dict(measure=m, strategy=s), "REPOSE", dict(strategy=s))
+        for m in measures for s in strategies
+    ])
 
 
 if __name__ == "__main__":

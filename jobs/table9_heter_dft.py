@@ -2,40 +2,23 @@
 partitioning) vs DFT, for Hausdorff and Frechet on T-drive, Xi'an, OSM."""
 from __future__ import annotations
 
-import pandas as pd
-
-from _common import PROFILE, build_algo, job_main, load_dataset, print_table, timed_queries
+from _common import FOCUS_DATASETS, job_main, sweep
 
 MEASURES = ("hausdorff", "frechet")
+#: (row label, system, partitioning strategy or the system's default)
+VARIANTS = (
+    ("REPOSE", "REPOSE", None),
+    ("Heter-DFT", "DFT", "heterogeneous"),
+    ("DFT", "DFT", None),
+)
 
 
-def run(spark, profile: str = "lite", datasets=("tdrive", "xian", "osm"),
+def run(spark, profile: str = "lite", datasets=FOCUS_DATASETS,
         measures=MEASURES):
-    k = PROFILE[profile]["k"]
-    rows = []
-    for ds in datasets:
-        df, queries = load_dataset(spark, ds, profile)
-        for measure in measures:
-            variants = (
-                ("REPOSE", "REPOSE", None),
-                ("Heter-DFT", "DFT", "heterogeneous"),
-                ("DFT", "DFT", None),
-            )
-            for label, algo, strategy in variants:
-                obj = build_algo(
-                    spark, algo, df, measure=measure, dataset=ds,
-                    profile=profile, strategy=strategy,
-                )
-                qt = timed_queries(obj, queries, k)
-                rows.append(
-                    dict(dataset=ds, measure=measure, algo=label,
-                         qt_s=round(qt["wall"], 3),
-                         qt_local_s=round(qt["local"], 3))
-                )
-                obj.unpersist()
-        df.unpersist()
-    out = pd.DataFrame(rows)
-    return print_table(out, f"Table IX (profile={profile})")
+    return sweep(spark, profile, "Table IX", datasets, lambda ds: [
+        (dict(measure=m, algo=label), algo, dict(strategy=s))
+        for m in measures for label, algo, s in VARIANTS
+    ])
 
 
 if __name__ == "__main__":

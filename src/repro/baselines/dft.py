@@ -10,7 +10,7 @@ range traversal: segments within θ of the query are "near"; a trajectory
 is a candidate iff *all* of its segments are near (valid for Hausdorff /
 Frechet / DTW: every data point must be within distance ≤ the true
 distance of some query point). Each Spark task refines the candidates of
-all its partitions exactly, in one scan.
+all its partitions exactly, in one scan seeded with ``(θ, ∞)``.
 
 Space accounting mirrors DFT-RB+DI's documented blow-up: per-segment MBRs
 + a duplicated segment endpoint store (the "regrouping" copy) + the dual

@@ -21,8 +21,6 @@ unsupported measures, mirroring the "/" cells of Table IV.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
@@ -60,11 +58,13 @@ class _TrieNode:
 
 def _build_trie(reps: np.ndarray, tids: np.ndarray, bounds, n_pp: int):
     """Group representatives into a trie: level d keyed by the coarse
-    grid cell of pivot point d, with tight per-node MBRs."""
+    grid cell of pivot point d, with tight per-node MBRs. Returns the
+    root and the number of nodes, the root included."""
     minx, miny, maxx, maxy = bounds
     sx = (maxx - minx) or 1.0
     sy = (maxy - miny) or 1.0
     root = _TrieNode()
+    n_nodes = 1
     for r, tid in zip(reps, tids):
         node = root
         for d in range(n_pp):
@@ -77,6 +77,7 @@ def _build_trie(reps: np.ndarray, tids: np.ndarray, bounds, n_pp: int):
             if child is None:
                 child = _TrieNode()
                 node.children[cell] = child
+                n_nodes += 1
             if child.mbr is None:
                 child.mbr = np.array([x, y, x, y])
             else:
@@ -87,7 +88,7 @@ def _build_trie(reps: np.ndarray, tids: np.ndarray, bounds, n_pp: int):
                 m[3] = max(m[3], y)
             node = child
         node.tids.append(int(tid))
-    return root
+    return root, n_nodes
 
 
 class DitaPack(LocalPack):
@@ -97,7 +98,7 @@ class DitaPack(LocalPack):
         reps = np.stack(
             [representative(p, self.n_pp) for p in self.trajs.values()]
         ) if self.trajs else np.zeros((0, self.n_pp, 2))
-        self.trie = _build_trie(reps, tids, cfg["bounds"], self.n_pp)
+        self.trie, n_nodes = _build_trie(reps, tids, cfg["bounds"], self.n_pp)
         # first-point MBR for the global index
         if self.trajs:
             firsts = np.stack([p[0] for p in self.trajs.values()])
@@ -110,12 +111,8 @@ class DitaPack(LocalPack):
         return (
             self.raw_bytes()
             + reps.nbytes  # fixed-length representatives
-            + self._count_nodes(self.trie) * (4 * 8 + 16)  # node MBR + bookkeeping
+            + n_nodes * (4 * 8 + 16)  # node MBR + bookkeeping
         )
-
-    @staticmethod
-    def _count_nodes(node) -> int:
-        return 1 + sum(DitaPack._count_nodes(c) for c in node.children.values())
 
     def summary(self):
         s = super().summary()
@@ -183,10 +180,8 @@ class Dita(ThetaTopK):
             key_mode="first",
         )
 
-    def query_ctx(self, qpts, k, seed=0):
-        ctx = super().query_ctx(qpts, k, seed=seed)
-        # (θ, ∞) seeds each task's threshold: it admits every distance ≤ θ
-        ctx["d_k"] = (ctx["theta"], math.inf)
+    def query_ctx(self, qpts, k):
+        ctx = super().query_ctx(qpts, k)
         # global index: prune partitions whose first-point MBR is farther
         # than θ from the query's first point
         ctx["skip"] = frozenset(

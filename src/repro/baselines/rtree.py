@@ -47,13 +47,10 @@ class STRtree:
         while len(cur) > 1 or not self.levels:
             k = math.ceil(len(cur) / capacity)
             offs = np.minimum(np.arange(k + 1) * capacity, len(cur))
-            node_mbrs = np.empty((k, 4))
-            for j in range(k):
-                chunk = cur[offs[j] : offs[j + 1]]
-                node_mbrs[j, 0] = chunk[:, 0].min()
-                node_mbrs[j, 1] = chunk[:, 1].min()
-                node_mbrs[j, 2] = chunk[:, 2].max()
-                node_mbrs[j, 3] = chunk[:, 3].max()
+            node_mbrs = np.hstack([
+                np.minimum.reduceat(cur[:, :2], offs[:-1]),
+                np.maximum.reduceat(cur[:, 2:], offs[:-1]),
+            ])
             self.levels.append((node_mbrs, offs))
             cur = node_mbrs
             if k == 1:

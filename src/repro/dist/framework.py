@@ -264,12 +264,11 @@ class DistributedTopK:
         subclass computes it on the driver, once per query."""
         return {}
 
-    def query(self, qpts: np.ndarray, k: int, **kw) -> list[tuple[float, int]]:
+    def query(self, qpts: np.ndarray, k: int) -> list[tuple[float, int]]:
         """Distributed top-k: one ``mapPartitions`` task per Spark
         partition searches its packs (``LocalPack.search_task``); the driver
         merges the tasks' top-k lists into the first k by ``(dist,
-        tid)``. ``kw`` go to ``query_ctx``, whose time counts in the
-        query's.
+        tid)``. The time of ``query_ctx`` counts in the query's.
 
         Besides the wall-clock ``last_query_time``, records each task's
         local search seconds (``last_local_times``: one entry per Spark
@@ -280,7 +279,7 @@ class DistributedTopK:
         check_k(k)
         t0 = time.perf_counter()
         q = np.asarray(qpts, dtype=float)
-        ctx = self.query_ctx(q, k, **kw)
+        ctx = self.query_ctx(q, k)
 
         def run(packs):
             drop_zip_finders()
@@ -308,11 +307,12 @@ def sample_trajectories(
     Used for pivot selection (REPOSE) and threshold estimation pools
     (DFT/DITA). Deterministic in ``seed``. ``count`` is the number of
     rows of ``traj_df`` when the caller knows it (``dataset_stats``);
-    without it a ``count()`` job finds it. The sample is collected whole
-    and cut to its first ``n`` rows: the rows, and their order, that
-    ``limit(n)`` gives, in one job where ``limit`` may take two.
+    without it a ``count()`` job finds it. A Bernoulli sample of about
+    ``3n`` rows is collected in one job, and ``default_rng(seed)`` draws
+    ``n`` of them, in random order: every prefix is a uniform sample.
     """
     total = traj_df.count() if count is None else count
     frac = min(1.0, (3.0 * n) / max(1, total))
-    rows = traj_df.sample(fraction=frac, seed=seed).collect()[:n]
-    return _rows_to_trajs([(r.tid, r.xs, r.ys) for r in rows])
+    rows = traj_df.sample(fraction=frac, seed=seed).collect()
+    picked = np.random.default_rng(seed).permutation(len(rows))[:n]
+    return _rows_to_trajs([(rows[i].tid, rows[i].xs, rows[i].ys) for i in picked])

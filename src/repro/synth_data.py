@@ -80,7 +80,7 @@ def _traj_pdf(
     cx = np.cumsum(dx)
     cy = np.cumsum(dy)
     offs = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    px = sx[starts] + cx - cx[offs][starts] + dx[offs][starts] * 0  # anchor
+    px = sx[starts] + cx - cx[offs][starts]
     py = sy[starts] + cy - cy[offs][starts]
     px = np.clip(px, ox, ox + w)
     py = np.clip(py, oy, oy + h)

@@ -48,6 +48,21 @@ def test_node_mbrs_cover_children():
         assert mbrs[j, 3] >= chunk[:, 3].max() - 1e-12
 
 
+@pytest.mark.parametrize("n, capacity", [(1, 32), (33, 32), (300, 8), (1000, 16)])
+def test_levels_equal_the_per_node_loop(n, capacity):
+    """Each level's node MBRs are exactly the min/max of their children,
+    as a loop over the nodes computes them."""
+    rects = rnd_rects(np.random.default_rng(n), n)
+    tree = STRtree(rects, capacity=capacity)
+    cur = rects[tree.perm]
+    for mbrs, offs in tree.levels:
+        want = np.array([
+            [*cur[a:b, :2].min(0), *cur[a:b, 2:].max(0)] for a, b in zip(offs[:-1], offs[1:])
+        ])
+        assert mbrs.dtype == want.dtype and np.array_equal(mbrs, want)
+        cur = mbrs
+
+
 def test_top_level_single_root():
     rng = np.random.default_rng(10)
     tree = STRtree(rnd_rects(rng, 1000), capacity=16)

@@ -3,12 +3,16 @@ threshold-estimator soundness, representative-trajectory invariants, the
 DITA global first-point index, and the "/" (unsupported) cells."""
 from __future__ import annotations
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 
 from repro.baselines.dft import Dft, DftPack
 from repro.baselines.dita import Dita, DitaPack, representative
 from repro.baselines.ls import Ls
+from repro.core.measures import get_measure
 from repro.core.search import brute_force_topk
 from repro.core.zorder import points_to_rects_dist
 from tests.util import (
@@ -63,8 +67,8 @@ def dft_hausdorff(spark, tdrive_smoke):
 
 @pytest.mark.parametrize("k", [1, 5, 15])
 def test_dft_exact_hausdorff(dft_hausdorff, tdrive_trajs, tdrive_queries, k):
-    for qi, (_, q) in enumerate(tdrive_queries):
-        got = dft_hausdorff.query(q, k, seed=qi)
+    for _, q in tdrive_queries:
+        got = dft_hausdorff.query(q, k)
         exp = brute_force_topk(tdrive_trajs, q, k, measure="hausdorff")
         assert_same_topk(got, exp)
 
@@ -106,6 +110,13 @@ def test_dft_index_bigger_than_raw(dft_hausdorff, tdrive_trajs):
     assert dft_hausdorff.index_bytes > 3 * raw
 
 
+@pytest.mark.parametrize("system", [Ls, Dft, Dita])
+def test_query_takes_no_other_argument(system):
+    """A query is ``query(q, k)`` for every system: no per-call seed."""
+    for method in (system.query, system.query_ctx):
+        assert list(inspect.signature(method).parameters) == ["self", "qpts", "k"]
+
+
 def test_dftpack_segment_bookkeeping(tdrive_trajs):
     pack = DftPack(0, tdrive_trajs[:20], {"measure": "hausdorff"})
     n_pts = sum(len(p) for _, p in tdrive_trajs[:20])
@@ -122,8 +133,8 @@ def dita_frechet(spark, tdrive_smoke):
 
 @pytest.mark.parametrize("k", [1, 5, 15])
 def test_dita_exact_frechet(dita_frechet, tdrive_trajs, tdrive_queries, k):
-    for qi, (_, q) in enumerate(tdrive_queries):
-        got = dita_frechet.query(q, k, seed=qi)
+    for _, q in tdrive_queries:
+        got = dita_frechet.query(q, k)
         exp = brute_force_topk(tdrive_trajs, q, k, measure="frechet")
         assert_same_topk(got, exp)
 
@@ -192,6 +203,24 @@ def test_dita_global_pruning_skips_far_partitions(spark):
     dita.unpersist()
 
 
+@pytest.mark.parametrize(
+    "seed, n, want", [(3, 250, 104912), (5, 40, 19568), (7, 1, 688), (None, 0, 48)]
+)
+def test_dita_index_bytes(seed, n, want):
+    """IS counts raw points, representatives and 48 bytes per trie node,
+    the root included: the node count kept while building equals a walk
+    of the trie, and the bytes are pinned."""
+    data = rnd_dataset(seed, n) if n else {}
+    pts = np.concatenate(list(data.values())) if n else np.zeros((1, 2))
+    cfg = {"measure": "frechet", "n_pp": 4, "bounds": (*pts.min(0), *pts.max(0))}
+    pack = DitaPack(0, list(data.items()), cfg)
+    nodes, stack = 0, [pack.trie]
+    while stack:
+        nodes += 1
+        stack.extend(stack.pop().children.values())
+    assert pack.index_bytes == pack.raw_bytes() + n * 4 * 2 * 8 + nodes * 48 == want
+
+
 def test_dita_smaller_index_than_dft(spark, tdrive_smoke, dita_frechet, dft_hausdorff):
     assert dita_frechet.index_bytes < dft_hausdorff.index_bytes
 
@@ -219,8 +248,26 @@ def test_theta_sample_smaller_than_k(system):
     for seed in range(10):
         drawn = np.random.default_rng(seed).choice(k, 200, replace=False)
         index.pool = [(int(t), data[int(t)]) for t in drawn]
-        ctx = index.query_ctx(q, k, seed=seed)
+        ctx = index.query_ctx(q, k)
         assert_same_topk(pack_cls.search_task(packs, q, k, ctx), exp)
+
+
+@pytest.mark.parametrize("system", [Dft, Dita])
+def test_theta_from_the_pool_prefix(system):
+    """θ is the k-th distance among the pool's first C·k = 5k, with the
+    strict-< guard, the same for every query of the same trajectory, and
+    both DFT and DITA seed their scans with ``(θ, ∞)``."""
+    data = rnd_dataset(4, 60)
+    index = system.__new__(system)
+    index.fn = get_measure("frechet")
+    index.pool = list(data.items())
+    index.summaries = []
+    q, k = rnd_query(1), 4
+    first = sorted(index.fn(q, p) for _, p in index.pool[: 5 * k])
+    ctx = index.query_ctx(q, k)
+    assert first[k - 1] < ctx["theta"] == pytest.approx(first[k - 1])
+    assert ctx["d_k"] == (ctx["theta"], math.inf)
+    assert index.query_ctx(q, k) == ctx
 
 
 # -------------------------------------------------------- representatives

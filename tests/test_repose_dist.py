@@ -158,17 +158,21 @@ def test_build_stats(repose_hausdorff, tdrive_trajs):
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("n", [30, 100, 250])
-def test_sample_with_count_is_the_limit_sample(tdrive_smoke, seed, n):
-    """With the row count passed, ``sample_trajectories`` returns the rows,
-    in their order, of ``sample(frac, seed).limit(n)``, also for n ≥ N."""
+def test_sample_is_uniform_over_the_rows(tdrive_smoke, seed, n):
+    """``sample_trajectories`` draws ``n`` distinct rows from all of the
+    data, not from its first partitions: the tids reach past 2/3 of N
+    and below 1/3 of it. It is deterministic in ``seed``, each row keeps
+    its points, and passing the row count changes nothing."""
     total = tdrive_smoke.count()
-    frac = min(1.0, 3.0 * n / total)
-    want = tdrive_smoke.sample(fraction=frac, seed=seed).limit(n).collect()
     got = sample_trajectories(tdrive_smoke, n, seed=seed, count=total)
-    assert [t for t, _ in got] == [r.tid for r in want]
-    for (_, pts), r in zip(got, want):
-        assert np.array_equal(pts, np.column_stack([r.xs, r.ys]))
-    assert len(got) == min(n, total)
+    tids = [t for t, _ in got]
+    assert len(set(tids)) == len(tids) == min(n, total)
+    assert max(tids) > 2 * total / 3 and min(tids) < total / 3
+    rows = {r.tid: r for r in tdrive_smoke.collect()}
+    for tid, pts in got:
+        assert np.array_equal(pts, np.column_stack([rows[tid].xs, rows[tid].ys]))
+    again = sample_trajectories(tdrive_smoke, n, seed=seed)
+    assert [t for t, _ in again] == tids
 
 
 def test_no_build_counts_rows(spark, tdrive_smoke, monkeypatch):

@@ -63,8 +63,8 @@ def task_packs(measure, system="repose"):
 
 def task_ctx(system, measure, packs, q, k):
     """The ``ctx`` a query hands the packs' tasks: for DFT and DITA their
-    index's own ``query_ctx`` (θ, and DITA's seed and skipped pids), with
-    the whole data set as the θ sample, as an index of fewer
+    index's own ``query_ctx`` (θ, the ``(θ, ∞)`` seed and DITA's skipped
+    pids), with the whole data set as the θ sample, as an index of fewer
     trajectories than its ``sample_pool`` keeps."""
     if system not in INDEXES:
         return {}
