@@ -26,10 +26,11 @@ UCR suite (Rakthanmanon et al., KDD 2012). It returns the exact distance
 when that distance is ≤ ``bound``, and otherwise a lower bound on it
 that is above ``bound``: first a lower bound read off the point-distance
 matrix in a few numpy calls, then a DP that stops once a whole column is
-above ``bound``. Without a bound a kernel computes the full distance;
-with ``bound=-inf`` it returns only the first, cheap bound, which
-``get_lower_bound`` hands to the searches to refine candidates in its
-order (Seidl & Kriegel, SIGMOD 1998).
+above ``bound``. Frechet's cascade starts one step earlier, with the
+O(1) endpoint bound LB_e (``end_bound``). Without a bound a kernel
+computes the full distance; with ``bound=-inf`` it returns only the
+first, cheap bound, which ``get_lower_bound`` hands to the searches to
+refine candidates in its order (Seidl & Kriegel, SIGMOD 1998).
 """
 from __future__ import annotations
 
@@ -43,6 +44,9 @@ import numpy as np
 METRICS = frozenset({"hausdorff", "frechet", "erp"})
 #: measures invariant to point re-ordering → optimized trie valid
 ORDER_INDEPENDENT = frozenset({"hausdorff"})
+#: measures whose cheap bound is the endpoint bound LB_e (``end_bound``),
+#: which the RP-Trie search takes for whole subtrees at once
+END_BOUNDED = frozenset({"frechet"})
 #: all supported measure names
 ALL_MEASURES = ("hausdorff", "frechet", "dtw", "erp", "edr", "lcss")
 
@@ -166,14 +170,42 @@ def _abandoning(step, col: list, rows, bound: float) -> float:
     return col[-1]
 
 
+def end_bound(a: np.ndarray, b: np.ndarray) -> float:
+    """LB_e: ``max(d(a₀, b₀), d(a₋₁, b₋₁))``, the larger distance of the
+    two end pairs, which every Frechet coupling holds (LB_KimFL of the
+    UCR suite). In the float operations of ``pair_dists``, so it equals
+    that matrix's corners bit for bit."""
+    (ax, ay), (bx, by) = a[0].tolist(), b[0].tolist()
+    dx, dy = ax - bx, ay - by
+    first = math.sqrt(dx * dx + dy * dy)
+    (ax, ay), (bx, by) = a[-1].tolist(), b[-1].tolist()
+    dx, dy = ax - bx, ay - by
+    last = math.sqrt(dx * dx + dy * dy)
+    return first if first > last else last
+
+
+def end_bounds(q: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``end_bound(q, τ)`` of many trajectories at once: ``ends`` holds
+    each one's first and last point, shape ``(n, 2, 2)``."""
+    q = q[[0, -1]]
+    dx = q[:, 0] - ends[:, :, 0]
+    dy = q[:, 1] - ends[:, :, 1]
+    return np.sqrt(dx * dx + dy * dy).max(axis=1)
+
+
 def frechet(a: np.ndarray, b: np.ndarray, *, bound: float = math.inf) -> float:
     """Discrete Frechet distance (paper Eq. 6)."""
     if bound == math.inf and len(a) > len(b):
         return frechet(b, a)  # the same value, in fewer and longer columns
+    if bound < math.inf:
+        # every coupling holds both end pairs ...
+        lb = end_bound(a, b)
+        if lb > bound:
+            return lb
     d = pair_dists(a, b)
     if bound < math.inf:
-        # every coupling holds both end pairs and meets every row and column
-        lb = max(d[0, 0], d[-1, -1], d.min(1).max(), d.min(0).max())
+        # ... and meets every row and column
+        lb = max(lb, d.min(1).max(), d.min(0).max())
         if lb > bound:
             return float(lb)
     first, *rest = d.tolist()
@@ -287,7 +319,8 @@ def get_lower_bound(
     ``name``'s distance that is never above the exact value bit for bit,
     or ``None`` for Hausdorff, whose cheap bound (one directed distance)
     costs most of the kernel. It is the first step of the kernel's own
-    cascade, so DTW's and ERP's are deflated by ``_SUM_SLACK``.
+    cascade, so DTW's and ERP's are deflated by ``_SUM_SLACK`` and
+    Frechet's is the endpoint bound LB_e.
     """
     if name == "hausdorff":
         return None

@@ -27,7 +27,12 @@ chain ids, in insertion order:
   of a chain share one subtree, hence one HR;
 * per leaf ``l`` (a ``$``-terminal): ``tids[tid_off[l]:tid_off[l+1]]``,
   ``dmax[l]`` (max distance from those trajectories to the node's
-  reference trajectory) and ``leaf_hr[l]``.
+  reference trajectory) and ``leaf_hr[l]``. Leaves are numbered in
+  depth-first pre-order, so a chain's subtree owns one range of ``tids``;
+* for the endpoint bound of a Frechet search, and only if built with
+  ``ends``: ``tids[sub_lo[e]:sub_hi[e]]`` — the trajectories of chain
+  ``e``'s subtree — and ``ends[i]``, the first and last point of
+  ``tids[i]``.
 
 A node's cell geometry is not stored: the search derives the query's
 distances to a cell from its z-value and the grid.
@@ -147,8 +152,16 @@ class RPTrie:
         self.need_dmax = need_dmax
 
     # ------------------------------------------------------------------
-    def build(self, trajs: Sequence[tuple[int, np.ndarray]], mode: str = "basic") -> None:
-        """Index trajectories ``(tid, (n,2) points)`` into the flat arrays."""
+    def build(
+        self, trajs: Sequence[tuple[int, np.ndarray]], mode: str = "basic", *, ends: bool = True
+    ) -> None:
+        """Index trajectories ``(tid, (n,2) points)`` into the flat arrays.
+
+        With ``ends`` the trie also stores what the endpoint bound of
+        the search needs (Frechet): ``ends``, each trajectory's first and
+        last point in ``tids`` order, and ``sub_lo``/``sub_hi``, each
+        chain's range of ``tids``. Without it, it stores neither.
+        """
         if mode not in ("basic", "dedup", "opt"):
             raise ValueError(f"unknown trie mode {mode!r}")
         tids, paths, pds, dmaxs = [], [], [], []
@@ -174,11 +187,14 @@ class RPTrie:
         self.pivot_slack = max(dmaxs, default=0.0)
         pds = np.array(pds, dtype=float).reshape(len(tids), self.n_pivots)
         grow = _greedy_paths if mode == "opt" else _insert_paths
-        self._flatten(*grow(paths), tids, pds, dmaxs)
+        points = np.array([(pts[0], pts[-1]) for _, pts in trajs]) if ends else None
+        self._flatten(*grow(paths), tids, pds, dmaxs, points)
 
-    def _flatten(self, kids: list[dict], ends: dict, tids, pds, dmaxs) -> None:
+    def _flatten(self, kids: list[dict], ends: dict, tids, pds, dmaxs, points) -> None:
         """Number the chains of the build-time trie breadth-first and
-        store them, their leaves and their HR as flat arrays."""
+        their leaves in depth-first pre-order, and store them, their
+        leaves and their HR as flat arrays (with ``points``, each item's
+        end points, also ``ends`` and each chain's ``tids`` range)."""
         chain_end = [0]  # build-time node ending each chain (root: chain 0)
         runs: list[list[int]] = [[]]
         depth = [0]
@@ -193,22 +209,33 @@ class RPTrie:
                 runs.append(run)
                 depth.append(depth[e] + len(run))
             kid_off.append(len(chain_end))
-        groups, leaf = [], []  # item indices per leaf; leaf of each chain
-        for c in chain_end:
-            leaf.append(len(groups) if c in ends else -1)
-            if c in ends:
-                groups.append(ends[c])
+        # leaves in pre-order: a chain's subtree owns one range of tids,
+        # starting at sub_lo[e]
+        n_chains = len(chain_end)
+        groups, leaf = [], [-1] * n_chains  # item indices per leaf; leaf of each chain
+        sub_lo, sub_hi, n_items = [0] * n_chains, [0] * n_chains, 0
+        stack = [0]
+        while stack:
+            e = stack.pop()
+            sub_lo[e] = n_items
+            if chain_end[e] in ends:
+                leaf[e] = len(groups)
+                groups.append(ends[chain_end[e]])
+                n_items += len(groups[-1])
+            sub_hi[e] = n_items
+            stack.extend(range(kid_off[e + 1] - 1, kid_off[e] - 1, -1))
         leaf_hr = np.empty((len(groups), self.n_pivots, 2))
         for l, items in enumerate(groups):
             leaf_hr[l, :, 0] = pds[items].min(axis=0)
             leaf_hr[l, :, 1] = pds[items].max(axis=0)
-        # bottom-up: a chain's HR and max suffix cover its children's
-        n_chains = len(chain_end)
+        # bottom-up: a chain's HR, max suffix and tids cover its children's
         hr = np.empty((n_chains, self.n_pivots, 2))
         hr[..., 0], hr[..., 1] = np.inf, -np.inf
         max_suffix = [0] * n_chains
         for e in range(n_chains - 1, -1, -1):
             a, b = kid_off[e], kid_off[e + 1]
+            if b > a:  # the last child's subtree comes last
+                sub_hi[e] = sub_hi[b - 1]
             below = hr[a:b]
             if leaf[e] >= 0:
                 below = np.concatenate([below, leaf_hr[leaf[e]][None]])
@@ -216,6 +243,13 @@ class RPTrie:
                 hr[e, :, 0] = below[:, :, 0].min(axis=0)
                 hr[e, :, 1] = below[:, :, 1].max(axis=0)
             max_suffix[e] = max((len(runs[c]) + max_suffix[c] for c in range(a, b)), default=0)
+        items = [i for g in groups for i in g]
+        if points is not None:
+            self.__dict__.update({
+                "ends": points[items].reshape(len(items), 2, 2),
+                "sub_lo": np.array(sub_lo, dtype=np.int32),
+                "sub_hi": np.array(sub_hi, dtype=np.int32),
+            })
         self.__dict__.update({
             "zs": np.array([z for run in runs for z in run], dtype=np.int64),
             "off": np.cumsum([0] + [len(r) for r in runs], dtype=np.int32),
@@ -224,7 +258,7 @@ class RPTrie:
             "leaf": np.array(leaf, dtype=np.int32),
             "kid_off": np.array(kid_off, dtype=np.int32),
             "hr": hr,
-            "tids": np.array([tids[i] for g in groups for i in g], dtype=np.int64),
+            "tids": np.array([tids[i] for i in items], dtype=np.int64),
             "tid_off": np.cumsum([0] + [len(g) for g in groups], dtype=np.int32),
             "dmax": np.array([max(dmaxs[i] for i in g) for g in groups], dtype=float),
             "leaf_hr": leaf_hr,

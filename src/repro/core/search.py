@@ -47,6 +47,13 @@ bound order and mostly only for the final top-k (optimal multi-step
 k-NN, Seidl & Kriegel, SIGMOD 1998). Hausdorff has no bound cheap
 enough and refines at the leaf.
 
+Frechet's cheap bound is the endpoint bound LB_e (``measures.end_bound``),
+which needs no DP and no matrix: each search takes it for every
+trajectory of a pack in one numpy call, and its least value over each
+chain's subtree, an extension of the paper's bounds (DESIGN.md §3).
+Chains and leaves are keyed by it, so a chain whose subtree cannot hold
+an answer is cut before its DP runs.
+
 The answer is tie-exact: the first k by ``(dist, tid)`` (``TopK``). A
 bound prunes only when it is strictly above the k-th distance, and a
 candidate at exactly that distance still enters when its tid is smaller.
@@ -67,8 +74,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .measures import (
-    METRICS, bounded, dtw_step, edit_start, erp_step, frechet_step, get_lower_bound,
-    get_measure, lcss_step, warp_start,
+    END_BOUNDED, METRICS, bounded, dtw_step, edit_start, end_bounds, erp_step, frechet_step,
+    get_lower_bound, get_measure, lcss_step, warp_start,
 )
 from .pivots import query_pivot_dists
 from .rptrie import RPTrie
@@ -304,13 +311,15 @@ CHAIN, LEAF, CAND = 0, 1, 2
 class SearchStats:
     """Counters exposed for tests/benchmarks: how much pruning happened."""
 
-    __slots__ = ("nodes_expanded", "leaves_visited", "exact_computed", "pushed")
+    __slots__ = ("nodes_expanded", "leaves_visited", "exact_computed", "pushed", "pruned_pre")
 
     def __init__(self):
         self.nodes_expanded = 0
         self.leaves_visited = 0
         self.exact_computed = 0
         self.pushed = 0
+        #: chains and leaves cut by their pre-bound (LB_p, LB_e) before any DP
+        self.pruned_pre = 0
 
 
 def check_k(k: int) -> None:
@@ -352,24 +361,51 @@ class TopK:
 class _Pack:
     """One trie of a search: its flat arrays as lists (the loop indexes
     them once per pop, where numpy scalars would cost more), its
-    trajectories, and with ``dqp`` the pivot bound LB_p of every chain
-    and leaf, from one ``_pivot_lbs`` call."""
+    trajectories, and the pre-bounds of every chain and leaf, which
+    need no DP: ``chain_pre``/``leaf_pre``, or None if there is none.
+
+    With ``dqp``, a pre-bound is the pivot bound LB_p, from one
+    ``_pivot_lbs`` call. With ``qpts`` (an ``END_BOUNDED`` measure) it is
+    also at least the endpoint bound LB_e of every trajectory below
+    (``lbe``, in ``tids`` order, from one ``end_bounds`` call), the
+    minimum of one range of ``lbe`` per chain and per leaf (leaves are
+    in pre-order, ``rptrie``); such a pack's entries are keyed by their
+    pre-bound (``keyed``)."""
 
     __slots__ = (
         "zs", "off", "kid_off", "depth", "suffix", "leaf", "tids", "tid_off", "dmax",
-        "trajs", "chain_lbp", "leaf_lbp",
+        "trajs", "lbe", "keyed", "chain_pre", "leaf_pre",
     )
 
-    def __init__(self, trie: RPTrie, trajs: dict[int, np.ndarray], dqp: np.ndarray | None):
+    def __init__(
+        self,
+        trie: RPTrie,
+        trajs: dict[int, np.ndarray],
+        dqp: np.ndarray | None,
+        qpts: np.ndarray | None = None,
+    ):
         self.zs, self.off, self.kid_off = trie.zs.tolist(), trie.off.tolist(), trie.kid_off.tolist()
         self.depth, self.suffix = trie.depth.tolist(), trie.max_suffix.tolist()
         self.leaf, self.tids, self.tid_off = trie.leaf.tolist(), trie.tids.tolist(), trie.tid_off.tolist()
         self.dmax = trie.dmax.tolist()
         self.trajs = trajs
+        self.lbe = self.chain_pre = self.leaf_pre = None
+        self.keyed = qpts is not None
         if dqp is not None:
             n = len(trie.hr)
             lbp = _pivot_lbs(dqp, np.concatenate((trie.hr, trie.leaf_hr)), trie.pivot_slack)
-            self.chain_lbp, self.leaf_lbp = lbp[:n].tolist(), lbp[n:].tolist()
+            self.chain_pre, self.leaf_pre = lbp[:n], lbp[n:]
+        if self.keyed:
+            lbe = end_bounds(qpts, trie.ends)
+            # +inf past the end: every range is a reduceat index below len
+            lbe_inf = np.append(lbe, np.inf)
+            chain = np.minimum.reduceat(lbe_inf, np.column_stack((trie.sub_lo, trie.sub_hi)).ravel())[::2]
+            leaf = np.minimum.reduceat(lbe_inf, trie.tid_off)[:-1]
+            if dqp is not None:
+                chain, leaf = np.maximum(chain, self.chain_pre), np.maximum(leaf, self.leaf_pre)
+            self.lbe, self.chain_pre, self.leaf_pre = lbe.tolist(), chain, leaf
+        if self.chain_pre is not None:
+            self.chain_pre, self.leaf_pre = self.chain_pre.tolist(), self.leaf_pre.tolist()
 
 
 def search_tries(
@@ -432,11 +468,26 @@ def search_tries(
         heapq.heappush(heap, (lb, counter, kind, p, item))
         stats.pushed += 1
 
+    def push_kids(lb: float, p: _Pack, e: int, state, dk: float) -> None:
+        """Chain ``e``'s children, keyed by ``lb`` or, in a keyed pack,
+        by their pre-bound if larger; those whose pre-bound is above
+        ``dk`` are pruned instead."""
+        pre = p.chain_pre if p.keyed else None
+        for c in range(p.kid_off[e], p.kid_off[e + 1]):
+            key = lb
+            if pre is not None:
+                key = pre[c]
+                if key > dk:
+                    stats.pruned_pre += 1
+                    continue
+                if key < lb:
+                    key = lb
+            push(key, CHAIN, p, (c, 0, state))
+
     root_state = engine.root_state()
+    ends_q = qpts if measure in END_BOUNDED else None
     for trie, trajs in packs:
-        p = _Pack(trie, trajs, dqp)
-        for e in range(p.kid_off[0], p.kid_off[1]):
-            push(0.0, CHAIN, p, (e, 0, root_state))
+        push_kids(0.0, _Pack(trie, trajs, dqp, ends_q), 0, root_state, top.dist)
 
     while heap:
         lb, _, kind, p, item = heapq.heappop(heap)
@@ -449,14 +500,16 @@ def search_tries(
             continue
         if kind == LEAF:
             stats.leaves_visited += 1
-            tids = p.tids[p.tid_off[item] : p.tid_off[item + 1]]
+            lo, hi = p.tid_off[item], p.tid_off[item + 1]
+            tids = p.tids[lo:hi]
             if cand_lb is None:
                 for tid in tids:
                     stats.exact_computed += 1
                     top.offer(refine(qpts, p.trajs[tid], bound=top.dist), tid)
                 continue
-            for tid in tids:
-                clb = cand_lb(qpts, p.trajs[tid])
+            # the endpoint bounds at hand, else one cheap bound per tid
+            clbs = p.lbe[lo:hi] if p.keyed else [cand_lb(qpts, p.trajs[t]) for t in tids]
+            for clb, tid in zip(clbs, tids):
                 if clb <= dk:
                     push(clb if clb > lb else lb, CAND, p, tid)
             continue
@@ -464,8 +517,10 @@ def search_tries(
         # ordering operates at chunk granularity, so no chain runs to its
         # end while d_k is still loose.
         e, pos, state = item
-        # HR is identical along a chain: one check covers its subtree
-        if pos == 0 and dqp is not None and p.chain_lbp[e] > dk:
+        # HR and the subtree are identical along a chain: one check
+        # covers them (a keyed pack checked it at push already)
+        if pos == 0 and p.chain_pre is not None and p.chain_pre[e] > dk:
+            stats.pruned_pre += 1
             continue
         stats.nodes_expanded += 1
         lo = p.off[e]
@@ -484,13 +539,15 @@ def search_tries(
         clb = engine.node_lb(st, depth, suffix)
         if clb > dk:
             continue
-        for c in range(p.kid_off[e], p.kid_off[e + 1]):
-            push(clb, CHAIN, p, (c, 0, st))
+        push_kids(clb, p, e, st, dk)
         l = p.leaf[e]
         if l >= 0:
+            if p.leaf_pre is not None and p.leaf_pre[l] > dk:
+                stats.pruned_pre += 1
+                continue
             llb = engine.leaf_lb(st, p.dmax[l], depth)
-            if dqp is not None:
-                llb = max(llb, p.leaf_lbp[l])
+            if p.leaf_pre is not None:
+                llb = max(llb, p.leaf_pre[l])
             llb = max(llb, clb)
             if llb <= dk:
                 push(llb, LEAF, p, l)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.measures import METRICS, ORDER_INDEPENDENT
+from repro.core.measures import END_BOUNDED, METRICS, ORDER_INDEPENDENT
 from repro.core.pivots import query_pivot_dists, select_pivots
 from repro.core.rptrie import RPTrie
 from repro.core.search import search_tries
@@ -31,7 +31,9 @@ class ReposePack(LocalPack):
             collapse_ref_for_dists=self.measure in ("hausdorff", "frechet"),
             need_dmax=self.measure in METRICS,
         )
-        self.trie.build(list(self.trajs.items()), mode=cfg["trie_mode"])
+        self.trie.build(
+            list(self.trajs.items()), mode=cfg["trie_mode"], ends=self.measure in END_BOUNDED
+        )
         self.node_count = self.trie.node_count()
         return trie_size_bytes(self.trie) + self.raw_bytes()
 

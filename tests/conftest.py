@@ -35,3 +35,15 @@ def tdrive_queries(tdrive_smoke):
     from repro import synth_data
 
     return synth_data.sample_queries(tdrive_smoke, 3)
+
+
+@pytest.fixture(scope="session")
+def tdrive_dups(spark, tdrive_trajs):
+    """The first 80 trajectories of ``tdrive_trajs`` and a copy of every
+    fourth under tid + 10000: a DataFrame (cached) and its ``(tid, pts)``."""
+    trajs = tdrive_trajs[:80]
+    trajs = trajs + [(t + 10000, p.copy()) for t, p in trajs[::4]]
+    rows = [(t, p[:, 0].tolist(), p[:, 1].tolist()) for t, p in trajs]
+    df = spark.createDataFrame(rows, schema="tid long, xs array<double>, ys array<double>").cache()
+    df.count()
+    return df, trajs

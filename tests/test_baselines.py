@@ -296,3 +296,16 @@ def test_representative_preserves_order():
     # each selected point appears in trajectory order
     idx = [int(np.where((pts == r).all(1))[0][0]) for r in rep]
     assert idx == sorted(idx)
+
+
+@pytest.mark.parametrize("system", [Ls, Dft, Dita])
+def test_frechet_duplicates_bound_order(spark, tdrive_dups, tdrive_queries, system):
+    """LS, DFT and DITA scan in the order of Frechet's endpoint bound:
+    brute force's ids on data with duplicated trajectories, k ≥ N
+    included."""
+    df, trajs = tdrive_dups
+    index = system(spark, df, measure="frechet", n_partitions=NP)
+    for _, q in tdrive_queries:
+        for k in (5, len(trajs)):
+            assert index.query(q, k) == brute_force_topk(trajs, q, k, measure="frechet")
+    index.unpersist()

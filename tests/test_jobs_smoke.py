@@ -16,6 +16,7 @@ import table6_pivots
 import table7_partitioning
 import table8_heter_dita
 import table9_heter_dft
+import task_search
 
 
 def test_table3(spark):
@@ -78,3 +79,11 @@ def test_table9(spark):
         spark, profile="smoke", datasets=("tdrive",), measures=("hausdorff",)
     )
     assert set(out.algo) == {"REPOSE", "Heter-DFT", "DFT"}
+
+
+def test_task_search(spark):
+    """REPOSE's and LS's task searches return the same ids (the job
+    asserts it) and a row per measure."""
+    out = task_search.run(spark, profile="smoke")
+    assert list(out.measure) == ["hausdorff", "frechet", "dtw"]
+    assert (out[["repose_ms", "ls_ms"]] > 0).all().all()

@@ -223,3 +223,19 @@ def test_pivot_lb_can_prune():
         if n.leaf is not None
     ]
     assert max(lbs) > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chain_end_bound_admissible(seed):
+    """A chain's LB_e (the least endpoint bound over its subtree) is
+    never above the exact Frechet distance of a trajectory below it."""
+    from repro.core.search import _Pack
+
+    trie = build_trie("frechet")
+    q = rnd_query(seed)
+    p = _Pack(trie, DATA, None, q)
+    fn = get_measure("frechet")
+    tids = trie.tids.tolist()
+    for e, pre in enumerate(p.chain_pre):
+        exact = min(fn(q, DATA[t]) for t in tids[trie.sub_lo[e] : trie.sub_hi[e]])
+        assert pre <= exact

@@ -315,3 +315,31 @@ def test_hyp_lower_bound_below_kernel(measure, a, b, eps, gap):
     assert lb(b, a) <= fn(b, a)
     # it is the first step of the kernel's cascade
     assert lb(a, b) == fn(a, b, bound=-math.inf)
+
+
+_COORD = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
+_TRAJ = st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=6).map(np.array)
+
+
+@given(q=_TRAJ, trajs=st.lists(_TRAJ, min_size=1, max_size=6), copy_q=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_end_bounds_pack_vector_is_frechet_first_step(q, trajs, copy_q):
+    """The per-pack endpoint vector of the search equals Frechet's
+    cheap bound (``bound=-inf``) bit for bit, single-point and identical
+    trajectories included, and is never above the exact distance."""
+    from repro.core.rptrie import RPTrie
+    from repro.core.search import _Pack
+    from repro.core.zorder import Grid
+
+    if copy_q:
+        trajs = trajs + [q.copy()]
+    data = dict(enumerate(trajs))
+    trie = RPTrie(Grid.from_bounds(-50, -50, 50, 50, delta=10.0), M.frechet)
+    trie.build(list(data.items()))
+    lbe = _Pack(trie, data, None, q).lbe
+    for tid, got in zip(trie.tids.tolist(), lbe):
+        want = M.frechet(q, data[tid], bound=-math.inf)
+        assert got == want == M.get_lower_bound("frechet")(q, data[tid])
+        assert got <= M.frechet(q, data[tid])
+        d = M.pair_dists(q, data[tid])
+        assert got == max(d[0, 0], d[-1, -1])

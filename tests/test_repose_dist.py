@@ -403,3 +403,18 @@ def test_non_finite_coordinates_rejected(spark, tdrive_trajs, system, column, va
             Repose(spark, df, measure="hausdorff", delta=DELTA, n_partitions=NP)
         else:
             Ls(spark, df, measure="hausdorff", n_partitions=NP)
+
+
+def test_frechet_duplicates_across_packs(spark, tdrive_dups, tdrive_queries):
+    """Duplicated trajectories in different packs tie exactly, and the
+    endpoint bound keys them alike: brute force's ids for small k and
+    for k ≥ N."""
+    df, trajs = tdrive_dups
+    rep = Repose(spark, df, measure="frechet", delta=DELTA, n_partitions=NP, strategy="random")
+    pid = {t: p.pid for p in rep.rdd.collect() for t in p.trajs}
+    assert any(pid[t] != pid[t + 10000] for t, _ in trajs if t + 10000 in pid)
+    queries = [q for _, q in tdrive_queries] + [trajs[0][1]]
+    for q in queries:
+        for k in (3, 10, len(trajs), len(trajs) + 5):
+            assert rep.query(q, k) == brute_force_topk(trajs, q, k, measure="frechet")
+    rep.unpersist()

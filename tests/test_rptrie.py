@@ -320,3 +320,34 @@ def test_pivot_dists_once_per_reference_trajectory(measure, mode):
         assert np.array_equal(trie.leaf_hr[l], hr_of(leaf_tids(l)))
     for e in range(len(trie.depth)):
         assert np.array_equal(trie.hr[e], hr_of(subtree_tids(e)))
+
+
+@pytest.mark.parametrize("mode", ["basic", "dedup", "opt"])
+def test_chain_ranges_hold_subtree_tids(data, mode):
+    """Leaves in pre-order: chain ``e``'s ``tids[sub_lo[e]:sub_hi[e]]``
+    are exactly the tids of its subtree's leaves, and ``ends`` holds each
+    tid's first and last point."""
+    trie = build(data, mode, measure="frechet")
+    tids, tid_off = trie.tids.tolist(), trie.tid_off.tolist()
+
+    def below(e):
+        out = []
+        if trie.leaf[e] >= 0:
+            out += tids[tid_off[trie.leaf[e]] : tid_off[trie.leaf[e] + 1]]
+        for c in range(trie.kid_off[e], trie.kid_off[e + 1]):
+            out += below(c)
+        return out
+
+    for e in range(len(trie.leaf)):
+        lo, hi = int(trie.sub_lo[e]), int(trie.sub_hi[e])
+        assert lo < hi and sorted(tids[lo:hi]) == sorted(below(e))
+    assert trie.sub_lo.dtype == trie.sub_hi.dtype == np.int32
+    for tid, ends in zip(tids, trie.ends):
+        assert (ends == data[tid][[0, -1]]).all()
+
+
+def test_ends_only_on_request(data):
+    """Built without ``ends``, a trie stores none of the endpoint arrays."""
+    trie = RPTrie(GRID, get_measure("hausdorff"), [])
+    trie.build(list(data.items()), mode="opt", ends=False)
+    assert not {"ends", "sub_lo", "sub_hi"} & set(vars(trie))

@@ -282,3 +282,26 @@ def test_scan_in_bound_order(measure):
         assert_same_topk(scan_topk(plain, DATA.items(), q, k, d_k=d_k, lower_bound=lb), exp)
         # a plain kernel refines in full, so only the bound order saves calls
         assert len(calls) == len(DATA) if lb is None else len(calls) < len(DATA)
+
+
+def test_one_point_matrix_per_frechet_refine(monkeypatch):
+    """A refined Frechet candidate builds its point-distance matrix once:
+    its heap key is the endpoint bound, which needs none."""
+    from repro.core import measures
+
+    trie = make_trie("frechet")
+    fn = get_measure("frechet")
+    pruned = 0
+    for seed in range(4):
+        q = rnd_query(seed)
+        dqp = query_pivot_dists(q, PIVOTS, fn)
+        calls = []
+        real = measures.pair_dists
+        monkeypatch.setattr(measures, "pair_dists", lambda a, b: calls.append(1) or real(a, b))
+        stats = SearchStats()
+        got = search_topk(trie, DATA, q, 10, measure="frechet", stats=stats, dqp=dqp)
+        monkeypatch.undo()
+        assert_same_topk(got, brute_force_topk(DATA.items(), q, 10, measure="frechet"))
+        assert len(calls) == stats.exact_computed > 0
+        pruned += stats.pruned_pre
+    assert pruned > 0
