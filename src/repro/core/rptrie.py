@@ -127,6 +127,9 @@ class RPTrie:
     pivots : global pivot trajectories (empty for non-metrics).
     """
 
+    #: the endpoint-bound arrays, set by ``build(..., ends=True)`` only
+    ends = sub_lo = sub_hi = None
+
     def __init__(
         self,
         grid: Grid,
@@ -153,7 +156,7 @@ class RPTrie:
 
     # ------------------------------------------------------------------
     def build(
-        self, trajs: Sequence[tuple[int, np.ndarray]], mode: str = "basic", *, ends: bool = True
+        self, trajs: Sequence[tuple[int, np.ndarray]], mode: str = "basic", *, ends: bool = False
     ) -> None:
         """Index trajectories ``(tid, (n,2) points)`` into the flat arrays.
 
@@ -222,7 +225,6 @@ class RPTrie:
                 leaf[e] = len(groups)
                 groups.append(ends[chain_end[e]])
                 n_items += len(groups[-1])
-            sub_hi[e] = n_items
             stack.extend(range(kid_off[e + 1] - 1, kid_off[e] - 1, -1))
         leaf_hr = np.empty((len(groups), self.n_pivots, 2))
         for l, items in enumerate(groups):
@@ -234,8 +236,11 @@ class RPTrie:
         max_suffix = [0] * n_chains
         for e in range(n_chains - 1, -1, -1):
             a, b = kid_off[e], kid_off[e + 1]
-            if b > a:  # the last child's subtree comes last
+            # the last child's subtree comes last, else the chain's own leaf
+            if b > a:
                 sub_hi[e] = sub_hi[b - 1]
+            else:
+                sub_hi[e] = sub_lo[e] + (len(groups[leaf[e]]) if leaf[e] >= 0 else 0)
             below = hr[a:b]
             if leaf[e] >= 0:
                 below = np.concatenate([below, leaf_hr[leaf[e]][None]])

@@ -365,16 +365,16 @@ class _Pack:
     need no DP: ``chain_pre``/``leaf_pre``, or None if there is none.
 
     With ``dqp``, a pre-bound is the pivot bound LB_p, from one
-    ``_pivot_lbs`` call. With ``qpts`` (an ``END_BOUNDED`` measure) it is
-    also at least the endpoint bound LB_e of every trajectory below
-    (``lbe``, in ``tids`` order, from one ``end_bounds`` call), the
-    minimum of one range of ``lbe`` per chain and per leaf (leaves are
-    in pre-order, ``rptrie``); such a pack's entries are keyed by their
-    pre-bound (``keyed``)."""
+    ``_pivot_lbs`` call. With ``qpts`` (an ``END_BOUNDED`` measure) and a
+    trie built with ``ends`` it is also at least the endpoint bound LB_e
+    of every trajectory below (``lbe``, in ``tids`` order, from one
+    ``end_bounds`` call), the minimum of one range of ``lbe`` per chain
+    and per leaf (leaves are in pre-order, ``rptrie``); the entries of
+    such a pack are keyed by their pre-bound."""
 
     __slots__ = (
         "zs", "off", "kid_off", "depth", "suffix", "leaf", "tids", "tid_off", "dmax",
-        "trajs", "lbe", "keyed", "chain_pre", "leaf_pre",
+        "trajs", "lbe", "chain_pre", "leaf_pre",
     )
 
     def __init__(
@@ -390,12 +390,11 @@ class _Pack:
         self.dmax = trie.dmax.tolist()
         self.trajs = trajs
         self.lbe = self.chain_pre = self.leaf_pre = None
-        self.keyed = qpts is not None
         if dqp is not None:
             n = len(trie.hr)
             lbp = _pivot_lbs(dqp, np.concatenate((trie.hr, trie.leaf_hr)), trie.pivot_slack)
             self.chain_pre, self.leaf_pre = lbp[:n], lbp[n:]
-        if self.keyed:
+        if qpts is not None and trie.ends is not None:
             lbe = end_bounds(qpts, trie.ends)
             # +inf past the end: every range is a reduceat index below len
             lbe_inf = np.append(lbe, np.inf)
@@ -472,7 +471,7 @@ def search_tries(
         """Chain ``e``'s children, keyed by ``lb`` or, in a keyed pack,
         by their pre-bound if larger; those whose pre-bound is above
         ``dk`` are pruned instead."""
-        pre = p.chain_pre if p.keyed else None
+        pre = p.chain_pre if p.lbe is not None else None
         for c in range(p.kid_off[e], p.kid_off[e + 1]):
             key = lb
             if pre is not None:
@@ -508,7 +507,7 @@ def search_tries(
                     top.offer(refine(qpts, p.trajs[tid], bound=top.dist), tid)
                 continue
             # the endpoint bounds at hand, else one cheap bound per tid
-            clbs = p.lbe[lo:hi] if p.keyed else [cand_lb(qpts, p.trajs[t]) for t in tids]
+            clbs = p.lbe[lo:hi] if p.lbe is not None else [cand_lb(qpts, p.trajs[t]) for t in tids]
             for clb, tid in zip(clbs, tids):
                 if clb <= dk:
                     push(clb if clb > lb else lb, CAND, p, tid)

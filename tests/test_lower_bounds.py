@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.measures import METRICS, get_measure, pair_dists
+from repro.core.measures import END_BOUNDED, METRICS, get_measure, pair_dists
 from repro.core.rptrie import RPTrie
 from repro.core.search import _pivot_lbs, make_engine
 from repro.core.zorder import Grid, points_to_rects_dist
@@ -29,7 +29,7 @@ def build_trie(measure):
     pv = PIVOTS if measure in METRICS else []
     trie = RPTrie(GRID, fn, pv)
     mode = "opt" if measure == "hausdorff" else "basic"
-    trie.build(list(DATA.items()), mode=mode)
+    trie.build(list(DATA.items()), mode=mode, ends=measure in END_BOUNDED)
     return trie
 
 

@@ -335,7 +335,7 @@ def test_end_bounds_pack_vector_is_frechet_first_step(q, trajs, copy_q):
         trajs = trajs + [q.copy()]
     data = dict(enumerate(trajs))
     trie = RPTrie(Grid.from_bounds(-50, -50, 50, 50, delta=10.0), M.frechet)
-    trie.build(list(data.items()))
+    trie.build(list(data.items()), ends=True)
     lbe = _Pack(trie, data, None, q).lbe
     for tid, got in zip(trie.tids.tolist(), lbe):
         want = M.frechet(q, data[tid], bound=-math.inf)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.measures import get_measure
+from repro.core.measures import END_BOUNDED, get_measure
 from repro.core.rptrie import RPTrie, dedup_first_occurrence
 from repro.core.zorder import Grid, ref_points, ref_trajectory
 from tests.util import MEASURE_PARAMS, rnd_dataset, trie_nodes
@@ -17,7 +17,7 @@ GRID = Grid.from_bounds(-5, -5, 15, 15, delta=0.8)
 def build(data, mode, measure="hausdorff", pivots=()):
     fn = get_measure(measure)
     trie = RPTrie(GRID, fn, pivots)
-    trie.build(list(data.items()), mode=mode)
+    trie.build(list(data.items()), mode=mode, ends=measure in END_BOUNDED)
     return trie
 
 
@@ -347,7 +347,8 @@ def test_chain_ranges_hold_subtree_tids(data, mode):
 
 
 def test_ends_only_on_request(data):
-    """Built without ``ends``, a trie stores none of the endpoint arrays."""
+    """By default a trie stores none of the endpoint arrays."""
     trie = RPTrie(GRID, get_measure("hausdorff"), [])
-    trie.build(list(data.items()), mode="opt", ends=False)
+    trie.build(list(data.items()), mode="opt")
     assert not {"ends", "sub_lo", "sub_hi"} & set(vars(trie))
+    assert trie.ends is trie.sub_lo is trie.sub_hi is None

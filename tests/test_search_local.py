@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.measures import METRICS, get_measure
+from repro.core.measures import END_BOUNDED, METRICS, get_measure
 from repro.core.pivots import query_pivot_dists
 from repro.core.rptrie import RPTrie
 from repro.core.search import SearchStats, brute_force_topk, search_topk
@@ -30,7 +30,7 @@ def make_trie(measure, mode=None, pivots=PIVOTS, delta=None):
     trie = RPTrie(grid, fn, pivots if measure in METRICS else [])
     if mode is None:
         mode = "opt" if measure == "hausdorff" else "basic"
-    trie.build(list(DATA.items()), mode=mode)
+    trie.build(list(DATA.items()), mode=mode, ends=measure in END_BOUNDED)
     return trie
 
 
@@ -305,3 +305,18 @@ def test_one_point_matrix_per_frechet_refine(monkeypatch):
         assert len(calls) == stats.exact_computed > 0
         pruned += stats.pruned_pre
     assert pruned > 0
+
+
+def test_frechet_trie_without_ends_is_exact():
+    """A Frechet trie built without ``ends`` keys each leaf's candidates
+    by the measure's cheap bound, cuts nothing by LB_e and still returns
+    brute force's ids."""
+    fn = get_measure("frechet")
+    trie = RPTrie(GRID, fn, PIVOTS)
+    trie.build(list(DATA.items()), mode="basic")
+    assert trie.ends is None
+    for seed in range(3):
+        q = rnd_query(seed)
+        stats = SearchStats()
+        got = search_topk(trie, DATA, q, 10, measure="frechet", stats=stats)
+        assert_same_topk(got, brute_force_topk(DATA.items(), q, 10, measure="frechet"))

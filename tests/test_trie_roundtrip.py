@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.measures import METRICS, get_measure
+from repro.core.measures import END_BOUNDED, METRICS, get_measure
 from repro.core.rptrie import RPTrie
 from repro.core.search import SearchStats, brute_force_topk, search_topk
 from repro.core.succinct import decode_structure, encode_trie, trie_shape
@@ -31,7 +31,7 @@ MODES = ["basic", "dedup", "opt"]
 
 def build(data, mode, grid=GRID, measure="hausdorff", pivots=()):
     trie = RPTrie(grid, get_measure(measure, **MEASURE_PARAMS[measure]), pivots)
-    trie.build(list(data.items()), mode=mode)
+    trie.build(list(data.items()), mode=mode, ends=measure in END_BOUNDED)
     return trie
 
 
