@@ -45,17 +45,27 @@ def dataset_stats(traj_df: DataFrame) -> tuple[tuple[float, float, float, float]
     """Global (minx, miny, maxx, maxy) over all trajectory points, and the
     number of trajectories, from one aggregate.
 
-    Raises ``ValueError`` when a coordinate is NaN or ±inf. No extra job
-    is needed to find one: Spark orders NaN above every number, so a NaN
-    makes ``maxx`` or ``maxy`` NaN, and an infinity is itself a bound.
+    Raises ``ValueError`` when a trajectory is empty or null, when its
+    ``xs`` and ``ys`` differ in length, or when a coordinate is NaN or
+    ±inf. No extra job is needed to find one: the aggregate also takes
+    the least length and the largest length difference (a null array
+    counts as empty), Spark orders NaN above every number, so a NaN makes
+    ``maxx`` or ``maxy`` NaN, and an infinity is itself a bound.
     """
+    n_xs, n_ys = (F.coalesce(F.size(c), F.lit(0)) for c in ("xs", "ys"))
     row = traj_df.select(
         F.min(F.array_min("xs")).alias("minx"),
         F.min(F.array_min("ys")).alias("miny"),
         F.max(F.array_max("xs")).alias("maxx"),
         F.max(F.array_max("ys")).alias("maxy"),
         F.count("*").alias("n"),
+        F.min(F.least(n_xs, n_ys)).alias("min_len"),
+        F.max(F.abs(n_xs - n_ys)).alias("len_diff"),
     ).first()
+    if row.n and row.min_len < 1:
+        raise ValueError("every trajectory needs at least one point; one is empty or null")
+    if row.n and row.len_diff:
+        raise ValueError(f"a trajectory's xs and ys differ in length (by up to {row.len_diff})")
     bounds = (row.minx, row.miny, row.maxx, row.maxy)
     if not all(b is not None and math.isfinite(b) for b in bounds):
         raise ValueError(f"trajectory coordinates must be finite; bounds are {bounds}")

@@ -47,22 +47,22 @@ bound order and mostly only for the final top-k (optimal multi-step
 k-NN, Seidl & Kriegel, SIGMOD 1998). Hausdorff has no bound cheap
 enough and refines at the leaf.
 
-Frechet's cheap bound is the endpoint bound LB_e (``measures.end_bound``),
-which needs no DP and no matrix: each search takes it for every
-trajectory of a pack in one numpy call, and its least value over each
-chain's subtree, an extension of the paper's bounds (DESIGN.md §3).
-Chains and leaves are keyed by it, so a chain whose subtree cannot hold
-an answer is cut before its DP runs.
+Each chain and leaf also has a pre-bound, which needs no DP: the larger
+of the pivot lower bound LB_p (§IV-D, metrics; from the node HR arrays
+with the standard symmetric metric bound, see DESIGN.md §3 re: the
+paper's Eq. 5) and, for Frechet, the endpoint bound LB_e
+(``measures.end_bound``, also its cheap bound), least over the
+trajectories below, an extension of the paper's bounds (DESIGN.md §3);
+0.0 where neither applies. Each search takes them for a whole pack in a
+few numpy calls (``_Pack``). Every child chain is keyed by the larger of
+its parent's DP bound and its pre-bound, and cut at push when that key
+is above the k-th distance, before its DP runs.
 
 The answer is tie-exact: the first k by ``(dist, tid)`` (``TopK``). A
 bound prunes only when it is strictly above the k-th distance, and a
 candidate at exactly that distance still enters when its tid is smaller.
 Each exact distance is refined against the k-th distance as a ``bound``,
 so it stops early when it cannot enter (``measures``).
-
-The pivot lower bound (§IV-D) uses the node HR arrays with the standard
-symmetric metric bound (see DESIGN.md §3 re: the paper's Eq. 5), for all
-of a trie's chains and leaves in one numpy call per search.
 """
 from __future__ import annotations
 
@@ -361,16 +361,16 @@ class TopK:
 class _Pack:
     """One trie of a search: its flat arrays as lists (the loop indexes
     them once per pop, where numpy scalars would cost more), its
-    trajectories, and the pre-bounds of every chain and leaf, which
-    need no DP: ``chain_pre``/``leaf_pre``, or None if there is none.
+    trajectories, and the pre-bound of every chain and leaf, which needs
+    no DP: ``chain_pre``/``leaf_pre``.
 
-    With ``dqp``, a pre-bound is the pivot bound LB_p, from one
-    ``_pivot_lbs`` call. With ``qpts`` (an ``END_BOUNDED`` measure) and a
-    trie built with ``ends`` it is also at least the endpoint bound LB_e
-    of every trajectory below (``lbe``, in ``tids`` order, from one
-    ``end_bounds`` call), the minimum of one range of ``lbe`` per chain
-    and per leaf (leaves are in pre-order, ``rptrie``); the entries of
-    such a pack are keyed by their pre-bound."""
+    A pre-bound is the max of the bounds that apply, 0.0 where none
+    does: with ``dqp``, the pivot bound LB_p, from one ``_pivot_lbs``
+    call; with ``qpts`` (an ``END_BOUNDED`` measure) and a trie built
+    with ``ends``, the least endpoint bound LB_e of the trajectories
+    below (``lbe``, in ``tids`` order, from one ``end_bounds`` call), the
+    minimum of one range of ``lbe`` per chain and per leaf (leaves are
+    in pre-order, ``rptrie``)."""
 
     __slots__ = (
         "zs", "off", "kid_off", "depth", "suffix", "leaf", "tids", "tid_off", "dmax",
@@ -389,22 +389,21 @@ class _Pack:
         self.leaf, self.tids, self.tid_off = trie.leaf.tolist(), trie.tids.tolist(), trie.tid_off.tolist()
         self.dmax = trie.dmax.tolist()
         self.trajs = trajs
-        self.lbe = self.chain_pre = self.leaf_pre = None
+        self.lbe = None
+        n = len(self.depth)
+        chain, leaf = np.zeros(n), np.zeros(len(self.dmax))
         if dqp is not None:
-            n = len(trie.hr)
             lbp = _pivot_lbs(dqp, np.concatenate((trie.hr, trie.leaf_hr)), trie.pivot_slack)
-            self.chain_pre, self.leaf_pre = lbp[:n], lbp[n:]
+            chain, leaf = lbp[:n], lbp[n:]
         if qpts is not None and trie.ends is not None:
             lbe = end_bounds(qpts, trie.ends)
             # +inf past the end: every range is a reduceat index below len
             lbe_inf = np.append(lbe, np.inf)
-            chain = np.minimum.reduceat(lbe_inf, np.column_stack((trie.sub_lo, trie.sub_hi)).ravel())[::2]
-            leaf = np.minimum.reduceat(lbe_inf, trie.tid_off)[:-1]
-            if dqp is not None:
-                chain, leaf = np.maximum(chain, self.chain_pre), np.maximum(leaf, self.leaf_pre)
-            self.lbe, self.chain_pre, self.leaf_pre = lbe.tolist(), chain, leaf
-        if self.chain_pre is not None:
-            self.chain_pre, self.leaf_pre = self.chain_pre.tolist(), self.leaf_pre.tolist()
+            ranges = np.column_stack((trie.sub_lo, trie.sub_hi)).ravel()
+            chain = np.maximum(chain, np.minimum.reduceat(lbe_inf, ranges)[::2])
+            leaf = np.maximum(leaf, np.minimum.reduceat(lbe_inf, trie.tid_off)[:-1])
+            self.lbe = lbe.tolist()
+        self.chain_pre, self.leaf_pre = chain.tolist(), leaf.tolist()
 
 
 def search_tries(
@@ -468,20 +467,15 @@ def search_tries(
         stats.pushed += 1
 
     def push_kids(lb: float, p: _Pack, e: int, state, dk: float) -> None:
-        """Chain ``e``'s children, keyed by ``lb`` or, in a keyed pack,
-        by their pre-bound if larger; those whose pre-bound is above
-        ``dk`` are pruned instead."""
-        pre = p.chain_pre if p.lbe is not None else None
+        """Chain ``e``'s children, each keyed by ``lb`` or its pre-bound
+        if larger, and pruned instead if that key is above ``dk``."""
+        pre = p.chain_pre
         for c in range(p.kid_off[e], p.kid_off[e + 1]):
-            key = lb
-            if pre is not None:
-                key = pre[c]
-                if key > dk:
-                    stats.pruned_pre += 1
-                    continue
-                if key < lb:
-                    key = lb
-            push(key, CHAIN, p, (c, 0, state))
+            key = pre[c] if pre[c] > lb else lb
+            if key > dk:
+                stats.pruned_pre += 1
+            else:
+                push(key, CHAIN, p, (c, 0, state))
 
     root_state = engine.root_state()
     ends_q = qpts if measure in END_BOUNDED else None
@@ -516,11 +510,6 @@ def search_tries(
         # ordering operates at chunk granularity, so no chain runs to its
         # end while d_k is still loose.
         e, pos, state = item
-        # HR and the subtree are identical along a chain: one check
-        # covers them (a keyed pack checked it at push already)
-        if pos == 0 and p.chain_pre is not None and p.chain_pre[e] > dk:
-            stats.pruned_pre += 1
-            continue
         stats.nodes_expanded += 1
         lo = p.off[e]
         n_chain = p.off[e + 1] - lo
@@ -541,13 +530,10 @@ def search_tries(
         push_kids(clb, p, e, st, dk)
         l = p.leaf[e]
         if l >= 0:
-            if p.leaf_pre is not None and p.leaf_pre[l] > dk:
+            if p.leaf_pre[l] > dk:
                 stats.pruned_pre += 1
                 continue
-            llb = engine.leaf_lb(st, p.dmax[l], depth)
-            if p.leaf_pre is not None:
-                llb = max(llb, p.leaf_pre[l])
-            llb = max(llb, clb)
+            llb = max(engine.leaf_lb(st, p.dmax[l], depth), p.leaf_pre[l], clb)
             if llb <= dk:
                 push(llb, LEAF, p, l)
 

@@ -275,10 +275,15 @@ class DistributedTopK:
         partition, in task order) and their maximum (``last_local_max``):
         the slowest task is what determines stage latency on a real
         cluster, without the fixed local-mode RPC floor.
+
+        Raises ``ValueError``, before any Spark job, unless ``k >= 1`` and
+        ``qpts`` is an (m ≥ 1, 2) array of finite coordinates.
         """
         check_k(k)
         t0 = time.perf_counter()
         q = np.asarray(qpts, dtype=float)
+        if q.ndim != 2 or q.shape[1] != 2 or not len(q) or not np.isfinite(q).all():
+            raise ValueError(f"a query must be an (m >= 1, 2) array of finite floats (shape {q.shape})")
         ctx = self.query_ctx(q, k)
 
         def run(packs):

@@ -18,6 +18,7 @@ from repro.baselines.dft import Dft
 from repro.baselines.dita import Dita
 from repro.baselines.ls import Ls
 from repro.core.measures import get_measure
+from repro.core.partition import dataset_stats
 from repro.core.rptrie import RPTrie
 from repro.core.search import brute_force_topk, scan_topk, search_topk
 from repro.core.zorder import Grid
@@ -403,6 +404,71 @@ def test_non_finite_coordinates_rejected(spark, tdrive_trajs, system, column, va
             Repose(spark, df, measure="hausdorff", delta=DELTA, n_partitions=NP)
         else:
             Ls(spark, df, measure="hausdorff", n_partitions=NP)
+
+
+def _bad_query(defect: str) -> np.ndarray:
+    q = rnd_query(0)
+    if defect == "nan":
+        q[3, 0] = np.nan
+    elif defect == "inf":
+        q[5, 1] = -np.inf
+    elif defect == "empty":
+        q = q[:0]
+    elif defect == "flat":
+        q = q.ravel()
+    else:  # three columns
+        q = np.column_stack([q, q[:, 0]])
+    return q
+
+
+@pytest.mark.parametrize("defect", ["nan", "inf", "empty", "flat", "xyz"])
+@pytest.mark.parametrize("system", ["repose_hausdorff", "repose_frechet", "ls"])
+def test_bad_query_rejected(spark, request, system, defect):
+    """A query that is not an (m ≥ 1, 2) array of finite floats is a
+    ValueError before any Spark job; a NaN once returned [] silently."""
+    if system == "ls":
+        index = request.getfixturevalue("baselines")["ls"]
+    else:
+        index = request.getfixturevalue(system)
+    tracker = spark.sparkContext.statusTracker()
+    jobs = set(tracker.getJobIdsForGroup(None))
+    with pytest.raises(ValueError, match="array of finite floats"):
+        index.query(_bad_query(defect), 3)
+    assert set(tracker.getJobIdsForGroup(None)) == jobs
+
+
+@pytest.mark.parametrize(
+    "defect,match",
+    [
+        ("empty", "at least one point"),
+        ("null", "at least one point"),
+        ("ragged", "differ in length"),
+    ],
+)
+@pytest.mark.parametrize("system", ["repose", "ls"])
+def test_bad_trajectories_rejected(spark, tdrive_trajs, system, defect, match):
+    """An empty or null trajectory, or one whose xs and ys differ in
+    length, is refused at ingest with a ValueError from the bounds
+    aggregate, so the build runs no job beyond it."""
+    rows = [(t, p[:, 0].tolist(), p[:, 1].tolist()) for t, p in tdrive_trajs[:20]]
+    tid, xs, ys = rows[7]
+    rows[7] = {
+        "empty": (tid, [], []), "null": (tid, None, None), "ragged": (tid, xs[:3], ys[:2]),
+    }[defect]
+    df = spark.createDataFrame(rows, "tid long, xs array<double>, ys array<double>")
+    tracker = spark.sparkContext.statusTracker()
+
+    def n_jobs(build):
+        before = set(tracker.getJobIdsForGroup(None))
+        with pytest.raises(ValueError, match=match):
+            build()
+        return len(set(tracker.getJobIdsForGroup(None)) - before)
+
+    if system == "repose":
+        build = partial(Repose, spark, df, measure="hausdorff", delta=DELTA, n_partitions=NP)
+    else:
+        build = partial(Ls, spark, df, measure="hausdorff", n_partitions=NP)
+    assert n_jobs(build) == n_jobs(partial(dataset_stats, df))
 
 
 def test_frechet_duplicates_across_packs(spark, tdrive_dups, tdrive_queries):

@@ -2,13 +2,15 @@
 all measures, trie modes, k values, and pruning-effectiveness checks."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.core.measures import END_BOUNDED, METRICS, get_measure
+from repro.core.measures import END_BOUNDED, METRICS, end_bound, get_measure
 from repro.core.pivots import query_pivot_dists
 from repro.core.rptrie import RPTrie
-from repro.core.search import SearchStats, brute_force_topk, search_topk
+from repro.core.search import SearchStats, _Pack, _pivot_lbs, brute_force_topk, search_topk
 from repro.core.zorder import Grid
 from tests.util import (
     ALL,
@@ -128,6 +130,40 @@ def test_pivots_reduce_work():
     b = search_topk(t_yes, DATA, q, 10, measure="hausdorff", stats=s_yes)
     assert_same_topk(a, b)
     assert s_yes.exact_computed <= s_no.exact_computed
+    assert s_yes.nodes_expanded <= s_no.nodes_expanded
+    assert s_yes.pushed <= s_no.pushed
+
+
+@pytest.mark.parametrize("measure", ALL)
+@pytest.mark.parametrize("pivots", [True, False], ids=["pivots", "no_pivots"])
+@pytest.mark.parametrize("ends", [True, False], ids=["ends", "no_ends"])
+def test_pack_pre_bounds(measure, pivots, ends):
+    """Every pack has one pre-bound per chain and per leaf, whatever the
+    measure: the max of LB_p (a metric with pivots) and the least LB_e of
+    the trajectories below (Frechet, a trie built with ``ends``), and
+    0.0 where neither applies."""
+    kw = MEASURE_PARAMS[measure]
+    fn = get_measure(measure, **kw)
+    use_p, use_e = pivots and measure in METRICS, ends and measure in END_BOUNDED
+    trie = RPTrie(GRID, fn, PIVOTS if use_p else [])
+    trie.build(list(DATA.items()), mode="basic", ends=ends)
+    q = rnd_query(3)
+    dqp = query_pivot_dists(q, PIVOTS, fn) if use_p else None
+    p = _Pack(trie, DATA, dqp, q if measure in END_BOUNDED else None)
+    assert isinstance(p.chain_pre, list) and len(p.chain_pre) == len(trie.depth)
+    assert isinstance(p.leaf_pre, list) and len(p.leaf_pre) == len(trie.dmax)
+    tids = trie.tids.tolist()
+
+    def pre(hr, below):
+        lbp = float(_pivot_lbs(dqp, hr, trie.pivot_slack)) if use_p else 0.0
+        lbe = min((end_bound(q, DATA[t]) for t in below), default=math.inf) if use_e else 0.0
+        return max(lbp, lbe)
+
+    for e, got in enumerate(p.chain_pre):
+        assert got == pre(trie.hr[e], tids[trie.sub_lo[e] : trie.sub_hi[e]] if use_e else ())
+    for l, got in enumerate(p.leaf_pre):
+        assert got == pre(trie.leaf_hr[l], tids[trie.tid_off[l] : trie.tid_off[l + 1]])
+    assert any(p.chain_pre) == (use_p or use_e)
 
 
 @pytest.mark.parametrize("measure", ["hausdorff", "frechet"])
